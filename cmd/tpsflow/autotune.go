@@ -4,85 +4,32 @@ import (
 	"context"
 	"fmt"
 	"os"
-	"path/filepath"
 
 	"tps"
+	"tps/internal/serve"
 )
-
-// loadAutotuneSpec reads and parses a -autotune spec file. A `script`
-// base resolves relative to the spec file's directory (so a spec can
-// travel with its script); a `flow` base renders the built-in generated
-// scripts.
-func loadAutotuneSpec(path string) (*tps.AutotuneSpec, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	dir := filepath.Dir(path)
-	resolve := func(flow, script string) (string, error) {
-		if script != "" {
-			if !filepath.IsAbs(script) {
-				script = filepath.Join(dir, script)
-			}
-			sb, err := os.ReadFile(script)
-			if err != nil {
-				return "", err
-			}
-			return string(sb), nil
-		}
-		switch flow {
-		case "tps":
-			return tps.TPSScript(tps.DefaultTPSOptions()), nil
-		case "spr":
-			return tps.SPRScript(tps.DefaultSPROptions()), nil
-		}
-		return "", fmt.Errorf("unknown flow %q (want tps or spr)", flow)
-	}
-	return tps.ParseAutotuneSpec(string(b), resolve)
-}
 
 // runAutotune executes a search locally: snapshot the design once, run
 // the evolutionary loop, report each generation, and print the winning
-// script. The `AUTOTUNE winner=` line is deliberately free of timings so
-// runs at different -workers widths can be diffed verbatim — the same
-// determinism contract the -portfolio output keeps.
+// script.
 func runAutotune(makeDesign func() (*tps.Design, error), spec *tps.AutotuneSpec, traceFile, out string, verbose bool) error {
 	d, err := makeDesign()
 	if err != nil {
 		return err
 	}
 	defer d.Close()
-	cw, ch := d.Chip()
-	fmt.Printf("design %s: %d gates, %d nets, die %.0f×%.0f µm, period %.0f ps\n",
-		d.Netlist().Name, d.Netlist().NumGates(), d.Netlist().NumNets(), cw, ch, d.Period())
+	printDesign(d)
 	fmt.Printf("AUTOTUNE search=%s objective=%s population=%d offspring=%d generations=%d\n",
 		spec.Name, orDefault(spec.Objective, "slack"), spec.Population, spec.Offspring, spec.Generations)
 
 	if verbose {
 		spec.Log = os.Stderr
 	}
-	var tracer tps.Tracer
-	if traceFile != "" {
-		f, err := os.Create(traceFile)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		tracer = tps.NewJSONLTracer(f)
-		spec.Trace = tracer
-	}
-
-	res, searchErr := d.Autotune(context.Background(), *spec)
-	if tracer != nil {
-		// The search stream ends with autotune_verdict; append the
-		// tool-level terminal flow_end so every tpsflow trace file closes
-		// the same way.
-		end := tps.TraceEvent{Type: tps.EvFlowEnd}
-		if searchErr != nil {
-			end.Err = searchErr.Error()
-		}
-		tracer.Emit(end)
-	}
+	var res *tps.AutotuneResult
+	err = traced(traceFile, func(t tps.Tracer) { spec.Trace = t }, func() (err error) {
+		res, err = d.Autotune(context.Background(), *spec)
+		return err
+	})
 	if res != nil {
 		for _, g := range res.Gens {
 			restart := ""
@@ -93,19 +40,43 @@ func runAutotune(makeDesign func() (*tps.Design, error), spec *tps.AutotuneSpec,
 				g.Gen, g.Evaluated, orDefault(g.Best, "-"), g.BestObjective, restart)
 		}
 	}
-	if searchErr != nil {
-		return searchErr
+	if err != nil {
+		return err
 	}
+	printAutotuneWinner(res.BestName, res.BestObjective, res.BaseObjective,
+		res.Generations, res.Evaluated, res.BestScript)
+	return writeWinner(out, res.BestDesign, res.BestName)
+}
 
+// autotuneRequest is the tpsd submission that runs spec as one search
+// job.
+func autotuneRequest(spec *tps.AutotuneSpec, workers int) serve.SubmitRequest {
+	a := &serve.AutotuneRequest{
+		Scenario:    spec.Script,
+		Objective:   spec.Objective,
+		Population:  spec.Population,
+		Offspring:   spec.Offspring,
+		Generations: spec.Generations,
+		Stall:       spec.Stall,
+		Seed:        spec.Seed,
+		DeadlineSec: spec.Deadline.Seconds(),
+		Freeze:      spec.Freeze,
+		Insert:      spec.Insert,
+		Params:      spec.Params,
+	}
+	if spec.Weights != (tps.MutationWeights{}) {
+		w := spec.Weights
+		a.Weights = &w
+	}
+	return serve.SubmitRequest{Workers: workers, Autotune: a}
+}
+
+// printAutotuneWinner prints the line an -autotune run ends with,
+// followed by the winning canonical script, locally and under -submit
+// alike. Like the RACE line it is timing-free, so runs at different
+// -workers widths, or on a tpsd server, can be diffed verbatim.
+func printAutotuneWinner(name string, obj, base float64, gens, evaluated int, script string) {
 	fmt.Printf("AUTOTUNE winner=%s obj=%g baseline=%g gens=%d evaluated=%d\n",
-		res.BestName, res.BestObjective, res.BaseObjective, res.Generations, res.Evaluated)
-	fmt.Print(res.BestScript)
-
-	if out != "" {
-		if err := os.WriteFile(out, []byte(res.BestDesign), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s (winner %s)\n", out, res.BestName)
-	}
-	return nil
+		name, obj, base, gens, evaluated)
+	fmt.Print(script)
 }

@@ -22,45 +22,48 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"path/filepath"
 	"runtime"
 	"runtime/pprof"
 	"sort"
 	"time"
 
 	"tps"
+	"tps/internal/serve"
 )
 
 // main is the only place that may exit the process: every other path
 // returns an error, so deferred cleanups (trace files, profiles, the
 // design context) always run.
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "tpsflow:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
-	flow := flag.String("flow", "tps", "flow to run: tps or spr")
-	in := flag.String("in", "", "input .tpn netlist (omit to generate)")
-	out := flag.String("out", "", "write the final design as .tpn")
-	gates := flag.Int("gates", 2000, "generated design: combinational gate count")
-	levels := flag.Int("levels", 12, "generated design: logic depth")
-	seed := flag.Int64("seed", 1, "generator / flow seed")
-	des := flag.Int("des", 0, "use Table 1 design Des<n> (1–5) instead of -gates")
-	scale := flag.Float64("scale", 0.1, "scale factor for -des designs")
-	workers := flag.Int("workers", 0, "analyzer/transform fan-out width (0 = GOMAXPROCS; metrics are bit-identical at any width)")
-	compare := flag.Bool("compare", false, "rerun the flow at workers=1 on an identical design and print per-transform speedups (generated designs only)")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the flow to this file")
-	memprofile := flag.String("memprofile", "", "write a heap profile (post-flow) to this file")
-	scenarioFile := flag.String("scenario", "", "run this scenario script instead of the built-in flows")
-	portfolioFile := flag.String("portfolio", "", "race a portfolio of scenario entrants from this spec file (see examples/portfolio)")
-	autotuneFile := flag.String("autotune", "", "search the scenario space from this autotune spec file (see examples/autoflow)")
-	traceFile := flag.String("trace", "", "write the engine's structured trace as JSONL to this file")
-	listTransforms := flag.Bool("list-transforms", false, "list the registered transforms and exit")
-	submit := flag.String("submit", "", "submit to a tpsd server at this base URL instead of running locally")
-	verbose := flag.Bool("v", false, "print flow progress")
-	flag.Parse()
+func run(args []string) error {
+	fs := flag.NewFlagSet(os.Args[0], flag.ExitOnError)
+	flow := fs.String("flow", "tps", "flow to run: tps or spr")
+	in := fs.String("in", "", "input .tpn netlist (omit to generate)")
+	out := fs.String("out", "", "write the final design as .tpn")
+	gates := fs.Int("gates", 2000, "generated design: combinational gate count")
+	levels := fs.Int("levels", 12, "generated design: logic depth")
+	seed := fs.Int64("seed", 1, "generator / flow seed")
+	des := fs.Int("des", 0, "use Table 1 design Des<n> (1–5) instead of -gates")
+	scale := fs.Float64("scale", 0.1, "scale factor for -des designs")
+	workers := fs.Int("workers", 0, "analyzer/transform fan-out width (0 = GOMAXPROCS; metrics are bit-identical at any width)")
+	compare := fs.Bool("compare", false, "rerun the flow at workers=1 on an identical design and print per-transform speedups (generated designs only)")
+	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the flow to this file")
+	memprofile := fs.String("memprofile", "", "write a heap profile (post-flow) to this file")
+	scenarioFile := fs.String("scenario", "", "run this scenario script instead of the built-in flows")
+	portfolioFile := fs.String("portfolio", "", "race a portfolio of scenario entrants from this spec file (see examples/portfolio)")
+	autotuneFile := fs.String("autotune", "", "search the scenario space from this autotune spec file (see examples/autoflow)")
+	traceFile := fs.String("trace", "", "write the engine's structured trace as JSONL to this file")
+	listTransforms := fs.Bool("list-transforms", false, "list the registered transforms and exit")
+	submit := fs.String("submit", "", "submit to a tpsd server at this base URL instead of running locally")
+	verbose := fs.Bool("v", false, "print flow progress")
+	_ = fs.Parse(args) // ExitOnError: a bad flag exits inside Parse
 
 	if *listTransforms {
 		for _, tr := range tps.ListTransforms() {
@@ -97,7 +100,7 @@ func run() error {
 	}
 
 	if *portfolioFile != "" {
-		spec, err := loadRaceSpec(*portfolioFile)
+		spec, err := readSpec(*portfolioFile, tps.ParseRaceSpec)
 		if err != nil {
 			return err
 		}
@@ -105,15 +108,13 @@ func run() error {
 			spec.Workers = *workers
 		}
 		if *submit != "" {
-			return runSubmitRace(submitOpts{
-				base: *submit, workers: *workers, makeDesign: makeDesign,
-			}, spec)
+			return submitJob(*submit, makeDesign, raceRequest(spec, *workers))
 		}
 		return runPortfolio(makeDesign, spec, *traceFile, *out, *verbose)
 	}
 
 	if *autotuneFile != "" {
-		spec, err := loadAutotuneSpec(*autotuneFile)
+		spec, err := readSpec(*autotuneFile, tps.ParseAutotuneSpec)
 		if err != nil {
 			return err
 		}
@@ -124,17 +125,18 @@ func run() error {
 			spec.Seed = *seed
 		}
 		if *submit != "" {
-			return runSubmitAutotune(submitOpts{
-				base: *submit, workers: *workers, makeDesign: makeDesign,
-			}, spec)
+			return submitJob(*submit, makeDesign, autotuneRequest(spec, *workers))
 		}
 		return runAutotune(makeDesign, spec, *traceFile, *out, *verbose)
 	}
 
+	script, err := resolveScript(".", *flow, *scenarioFile)
+	if err != nil {
+		return err
+	}
 	if *submit != "" {
-		return runSubmit(submitOpts{
-			base: *submit, flow: *flow, scenarioFile: *scenarioFile,
-			workers: *workers, seed: *seed, makeDesign: makeDesign,
+		return submitJob(*submit, makeDesign, serve.SubmitRequest{
+			Scenario: script, Workers: *workers, Seed: *seed,
 		})
 	}
 
@@ -149,10 +151,7 @@ func run() error {
 	if *workers > 0 {
 		d.SetWorkers(*workers)
 	}
-
-	w, h := d.Chip()
-	fmt.Printf("design %s: %d gates, %d nets, die %.0f×%.0f µm, period %.0f ps\n",
-		d.Netlist().Name, d.Netlist().NumGates(), d.Netlist().NumNets(), w, h, d.Period())
+	printDesign(d)
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
@@ -166,45 +165,14 @@ func run() error {
 		defer pprof.StopCPUProfile()
 	}
 
-	// The tracer is attached before the flow and receives the terminal
-	// flow_end record on every exit path — success or failure — before
-	// the deferred file close flushes it.
-	var tracer tps.Tracer
-	if *traceFile != "" {
-		f, err := os.Create(*traceFile)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		tracer = tps.NewJSONLTracer(f)
-		d.SetTrace(tracer)
+	var m tps.Metrics
+	err = traced(*traceFile, d.SetTrace, func() (err error) {
+		m, err = runScript(d, script)
+		return err
+	})
+	if err != nil {
+		return err
 	}
-
-	runFlow := func(d *tps.Design) (tps.Metrics, error) {
-		switch {
-		case *scenarioFile != "":
-			return runScenarioFile(d, *scenarioFile)
-		case *flow == "tps":
-			return d.RunTPS(tps.DefaultTPSOptions()), nil
-		case *flow == "spr":
-			return d.RunSPR(tps.DefaultSPROptions()), nil
-		default:
-			return tps.Metrics{}, fmt.Errorf("unknown flow %q (want tps or spr)", *flow)
-		}
-	}
-
-	m, flowErr := runFlow(d)
-	if tracer != nil {
-		end := tps.TraceEvent{Type: tps.EvFlowEnd}
-		if flowErr != nil {
-			end.Err = flowErr.Error()
-		}
-		tracer.Emit(end)
-	}
-	if flowErr != nil {
-		return flowErr
-	}
-
 	fmt.Printf("%-4s slack=%.0fps cycle=%.0fps area=%.0fµm² icells=%d\n",
 		m.Flow, m.WorstSlack, m.CycleAchieved, m.AreaUm2, m.ICells)
 	fmt.Printf("     wire: steiner=%.0fµm routed=%.0fµm overflows=%d\n",
@@ -232,7 +200,7 @@ func run() error {
 		}
 		defer ref.Close()
 		ref.SetWorkers(1)
-		mr, err := runFlow(ref)
+		mr, err := runScript(ref, script)
 		if err != nil {
 			return err
 		}
@@ -299,17 +267,94 @@ func printPhases(pt, ref map[string]time.Duration) {
 	fmt.Println()
 }
 
-// runScenarioFile loads a scenario script from disk and executes it —
-// the -scenario code path.
-func runScenarioFile(d *tps.Design, path string) (tps.Metrics, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return tps.Metrics{}, err
+// printDesign prints the one-line design header every local run starts
+// with.
+func printDesign(d *tps.Design) {
+	w, h := d.Chip()
+	fmt.Printf("design %s: %d gates, %d nets, die %.0f×%.0f µm, period %.0f ps\n",
+		d.Netlist().Name, d.Netlist().NumGates(), d.Netlist().NumNets(), w, h, d.Period())
+}
+
+// resolveScript turns a flow reference into scenario script text: a
+// script path (relative paths resolve against dir) is read verbatim,
+// otherwise flow names a built-in flow, rendered as the same script
+// RunTPS and RunSPR parse. The -scenario/-flow flags and the flow= and
+// script= references of -portfolio and -autotune specs all resolve here.
+func resolveScript(dir, flow, script string) (string, error) {
+	if script != "" {
+		if !filepath.IsAbs(script) {
+			script = filepath.Join(dir, script)
+		}
+		b, err := os.ReadFile(script)
+		return string(b), err
 	}
-	s, err := tps.LoadScenario(f)
-	f.Close()
+	switch flow {
+	case "tps":
+		return tps.TPSScript(tps.DefaultTPSOptions()), nil
+	case "spr":
+		return tps.SPRScript(tps.DefaultSPROptions()), nil
+	}
+	return "", fmt.Errorf("unknown flow %q (want tps or spr)", flow)
+}
+
+// readSpec reads a -portfolio or -autotune spec file and parses it,
+// resolving the spec's script paths relative to the spec file's
+// directory so a spec can travel with its scripts.
+func readSpec[T any](path string, parse func(text string, resolve func(flow, script string) (string, error)) (T, error)) (T, error) {
+	b, err := os.ReadFile(path)
+	if err != nil {
+		var zero T
+		return zero, err
+	}
+	dir := filepath.Dir(path)
+	return parse(string(b), func(flow, script string) (string, error) {
+		return resolveScript(dir, flow, script)
+	})
+}
+
+// runScript parses script text and runs it on d. A parsed script carries
+// per-run state, so every run parses afresh.
+func runScript(d *tps.Design, script string) (tps.Metrics, error) {
+	s, err := tps.ParseScenario(script)
 	if err != nil {
 		return tps.Metrics{}, err
 	}
 	return d.RunScenario(s)
+}
+
+// traced runs body with the -trace file attached when path is set, then
+// appends the tool-level terminal flow_end record, carrying body's error,
+// so every trace file tpsflow writes closes the same way whatever ran.
+func traced(path string, attach func(tps.Tracer), body func() error) error {
+	if path == "" {
+		return body()
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	tr := tps.NewJSONLTracer(f)
+	attach(tr)
+	err = body()
+	end := tps.TraceEvent{Type: tps.EvFlowEnd}
+	if err != nil {
+		end.Err = err.Error()
+	}
+	tr.Emit(end)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+// writeWinner writes a race or search winner's design to the -out file.
+func writeWinner(out, design, name string) error {
+	if out == "" {
+		return nil
+	}
+	if err := os.WriteFile(out, []byte(design), 0o644); err != nil {
+		return err
+	}
+	fmt.Printf("wrote %s (winner %s)\n", out, name)
+	return nil
 }

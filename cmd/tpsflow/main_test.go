@@ -53,7 +53,11 @@ func TestRunScenarioFileWithRejectedStep(t *testing.T) {
 	defer d.Close()
 	d.SetTrace(tps.NewJSONLTracer(tf))
 
-	m, err := runScenarioFile(d, path)
+	script, err := resolveScript(".", "", path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := runScript(d, script)
 	if err != nil {
 		t.Fatalf("scenario run failed: %v", err)
 	}
@@ -95,12 +99,13 @@ func TestRunScenarioFileWithRejectedStep(t *testing.T) {
 func TestScenarioFileErrors(t *testing.T) {
 	d := tps.NewDesign(tps.DesignParams{Name: "cli", NumGates: 100, Levels: 6, Seed: 4})
 	defer d.Close()
-	if _, err := runScenarioFile(d, filepath.Join(t.TempDir(), "missing.tps")); err == nil {
+	if _, err := resolveScript(".", "", filepath.Join(t.TempDir(), "missing.tps")); err == nil {
 		t.Error("missing scenario file not reported")
 	}
-	bad := filepath.Join(t.TempDir(), "bad.tps")
-	os.WriteFile(bad, []byte("scenario x\ninit {\nnot_a_transform\n}\n"), 0o644)
-	if _, err := runScenarioFile(d, bad); err == nil {
+	if _, err := resolveScript(".", "nope", ""); err == nil {
+		t.Error("unknown flow not reported")
+	}
+	if _, err := runScript(d, "scenario x\ninit {\nnot_a_transform\n}\n"); err == nil {
 		t.Error("unknown transform not reported at load")
 	}
 }

@@ -4,57 +4,21 @@ import (
 	"context"
 	"fmt"
 	"os"
-	"path/filepath"
 	"strings"
 
 	"tps"
+	"tps/internal/serve"
 )
 
-// loadRaceSpec reads and parses a -portfolio spec file. Entrant
-// `script=` paths resolve relative to the spec file's directory (so a
-// spec can travel with its scripts); `flow=` entrants render the
-// built-in generated scripts.
-func loadRaceSpec(path string) (*tps.RaceSpec, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	dir := filepath.Dir(path)
-	resolve := func(flow, script string) (string, error) {
-		if script != "" {
-			if !filepath.IsAbs(script) {
-				script = filepath.Join(dir, script)
-			}
-			sb, err := os.ReadFile(script)
-			if err != nil {
-				return "", err
-			}
-			return string(sb), nil
-		}
-		switch flow {
-		case "tps":
-			return tps.TPSScript(tps.DefaultTPSOptions()), nil
-		case "spr":
-			return tps.SPRScript(tps.DefaultSPROptions()), nil
-		}
-		return "", fmt.Errorf("unknown flow %q (want tps or spr)", flow)
-	}
-	return tps.ParseRaceSpec(string(b), resolve)
-}
-
 // runPortfolio executes a race locally: fork the design per entrant,
-// race, report every verdict, and adopt the winner. The `RACE winner=`
-// line is deliberately free of timings so runs at different -workers
-// widths can be diffed verbatim — that is the determinism contract.
+// race, report every verdict, and adopt the winner.
 func runPortfolio(makeDesign func() (*tps.Design, error), spec *tps.RaceSpec, traceFile, out string, verbose bool) error {
 	d, err := makeDesign()
 	if err != nil {
 		return err
 	}
 	defer d.Close()
-	cw, ch := d.Chip()
-	fmt.Printf("design %s: %d gates, %d nets, die %.0f×%.0f µm, period %.0f ps\n",
-		d.Netlist().Name, d.Netlist().NumGates(), d.Netlist().NumNets(), cw, ch, d.Period())
+	printDesign(d)
 	fmt.Printf("RACE portfolio=%s objective=%s entrants=%d\n",
 		spec.Name, orDefault(spec.Objective, "slack"), len(spec.Entrants))
 
@@ -63,46 +27,45 @@ func runPortfolio(makeDesign func() (*tps.Design, error), spec *tps.RaceSpec, tr
 		// shared stderr interleaves cleanly across entrants.
 		spec.Log = os.Stderr
 	}
-	var tracer tps.Tracer
-	if traceFile != "" {
-		f, err := os.Create(traceFile)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		tracer = tps.NewJSONLTracer(f)
-		spec.Trace = tracer
-	}
-
-	res, raceErr := d.Race(context.Background(), *spec)
-	if tracer != nil {
-		// The race stream ends with race_verdict; append the tool-level
-		// terminal flow_end so every tpsflow trace file closes the same way.
-		end := tps.TraceEvent{Type: tps.EvFlowEnd}
-		if raceErr != nil {
-			end.Err = raceErr.Error()
-		}
-		tracer.Emit(end)
-	}
+	var res *tps.RaceResult
+	err = traced(traceFile, func(t tps.Tracer) { spec.Trace = t }, func() (err error) {
+		res, err = d.Race(context.Background(), *spec)
+		return err
+	})
 	if res != nil {
 		printVerdicts(res)
 	}
-	if raceErr != nil {
-		return raceErr
+	if err != nil {
+		return err
 	}
-
 	w := &res.Verdicts[res.Winner]
-	m := w.Metrics
-	fmt.Printf("RACE winner=%s obj=%g slack=%.0fps cycle=%.0fps wire=%.0fµm\n",
-		w.Name, w.Objective, m.WorstSlack, m.CycleAchieved, m.SteinerWireUm)
+	printRaceWinner(w.Name, w.Objective, w.Metrics)
+	return writeWinner(out, res.WinnerDesign, w.Name)
+}
 
-	if out != "" {
-		if err := os.WriteFile(out, []byte(res.WinnerDesign), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s (winner %s)\n", out, w.Name)
+// raceRequest is the tpsd submission that runs spec as one race job.
+func raceRequest(spec *tps.RaceSpec, workers int) serve.SubmitRequest {
+	req := serve.SubmitRequest{
+		Workers:     workers,
+		Objective:   spec.Objective,
+		DeadlineSec: spec.Deadline.Seconds(),
 	}
-	return nil
+	for _, e := range spec.Entrants {
+		req.Entrants = append(req.Entrants, serve.RaceEntrant{
+			Name: e.Name, Scenario: e.Script, Seed: e.Seed,
+			Bound: e.Bound, Params: e.Params,
+		})
+	}
+	return req
+}
+
+// printRaceWinner prints the line a -portfolio run ends with, locally
+// and under -submit alike. It is deliberately free of timings so runs at
+// different -workers widths, or on a tpsd server, can be diffed
+// verbatim — that is the determinism contract.
+func printRaceWinner(name string, obj float64, m *tps.Metrics) {
+	fmt.Printf("RACE winner=%s obj=%g slack=%.0fps cycle=%.0fps wire=%.0fµm\n",
+		name, obj, m.WorstSlack, m.CycleAchieved, m.SteinerWireUm)
 }
 
 // printVerdicts prints the per-entrant outcome table.

@@ -14,111 +14,24 @@ import (
 	"tps/internal/serve"
 )
 
-// submitOpts carries the -submit client configuration.
-type submitOpts struct {
-	base         string // tpsd base URL
-	flow         string // built-in flow when no -scenario
-	scenarioFile string
-	workers      int
-	seed         int64
-	makeDesign   func() (*tps.Design, error)
-}
-
-// runSubmit is the -submit client: it serializes the local design,
-// posts a job to a tpsd server, streams the job's JSONL trace to
-// stdout until the terminal flow_end record, and reports the job's
-// final state. The exit status mirrors the remote flow's outcome.
-func runSubmit(o submitOpts) error {
-	scenarioText, err := scenarioSource(o)
+// submitJob is the -submit client for every job kind: it serializes the
+// local design into req, posts the job to the tpsd server at baseURL,
+// streams the job's JSONL trace to stdout until the terminal flow_end
+// record, and reports the job's final state. The exit status mirrors the
+// remote job's outcome.
+func submitJob(baseURL string, makeDesign func() (*tps.Design, error), req serve.SubmitRequest) error {
+	d, err := makeDesign()
 	if err != nil {
 		return err
-	}
-	net, err := designText(o)
-	if err != nil {
-		return err
-	}
-	return submitAndStream(o.base, serve.SubmitRequest{
-		Netlist:  net,
-		Scenario: scenarioText,
-		Workers:  o.workers,
-		Seed:     o.seed,
-	})
-}
-
-// runSubmitRace ships a portfolio race to the server: the locally
-// resolved spec becomes the submission's entrant list, and the merged
-// entrant-tagged trace streams back to stdout.
-func runSubmitRace(o submitOpts, spec *tps.RaceSpec) error {
-	net, err := designText(o)
-	if err != nil {
-		return err
-	}
-	req := serve.SubmitRequest{
-		Netlist:     net,
-		Workers:     o.workers,
-		Objective:   spec.Objective,
-		DeadlineSec: spec.Deadline.Seconds(),
-	}
-	for i := range spec.Entrants {
-		e := &spec.Entrants[i]
-		req.Entrants = append(req.Entrants, serve.RaceEntrant{
-			Name: e.Name, Scenario: e.Script, Seed: e.Seed,
-			Bound: e.Bound, Params: e.Params,
-		})
-	}
-	return submitAndStream(o.base, req)
-}
-
-// runSubmitAutotune ships an autoflow search to the server: the locally
-// resolved spec becomes the submission's Autotune block, and the
-// variant-tagged trace streams back to stdout.
-func runSubmitAutotune(o submitOpts, spec *tps.AutotuneSpec) error {
-	net, err := designText(o)
-	if err != nil {
-		return err
-	}
-	a := &serve.AutotuneRequest{
-		Scenario:    spec.Script,
-		Objective:   spec.Objective,
-		Population:  spec.Population,
-		Offspring:   spec.Offspring,
-		Generations: spec.Generations,
-		Stall:       spec.Stall,
-		Seed:        spec.Seed,
-		DeadlineSec: spec.Deadline.Seconds(),
-		Freeze:      spec.Freeze,
-		Insert:      spec.Insert,
-		Params:      spec.Params,
-	}
-	if spec.Weights != (tps.MutationWeights{}) {
-		w := spec.Weights
-		a.Weights = &w
-	}
-	return submitAndStream(o.base, serve.SubmitRequest{
-		Netlist:  net,
-		Workers:  o.workers,
-		Autotune: a,
-	})
-}
-
-// designText serializes the local design selection as .tpn.
-func designText(o submitOpts) (string, error) {
-	d, err := o.makeDesign()
-	if err != nil {
-		return "", err
 	}
 	var netBuf bytes.Buffer
 	err = d.Save(&netBuf)
 	d.Close()
 	if err != nil {
-		return "", err
+		return err
 	}
-	return netBuf.String(), nil
-}
+	req.Netlist = netBuf.String()
 
-// submitAndStream posts the job, streams its trace to stdout until the
-// terminal flow_end, and reports the verdict.
-func submitAndStream(baseURL string, req serve.SubmitRequest) error {
 	base := strings.TrimRight(baseURL, "/")
 	client := &http.Client{} // no timeout: the trace stream is long-lived
 
@@ -169,63 +82,34 @@ func submitAndStream(baseURL string, req serve.SubmitRequest) error {
 	if err != nil {
 		return err
 	}
-	switch info.State {
-	case serve.JobDone:
-		if a := info.Autotune; a != nil {
-			// Deterministic winner line, mirroring the local -autotune
-			// output so the two modes can be diffed.
-			obj, base := 0.0, 0.0
-			if a.WinnerObjective != nil {
-				obj = *a.WinnerObjective
-			}
-			if a.BaseObjective != nil {
-				base = *a.BaseObjective
-			}
-			fmt.Printf("AUTOTUNE winner=%s obj=%g baseline=%g gens=%d evaluated=%d\n",
-				a.Winner, obj, base, a.Generations, a.Evaluated)
-			fmt.Print(a.WinnerScript)
-			return nil
-		}
-		if r := info.Race; r != nil {
-			for _, v := range r.Verdicts {
-				fmt.Fprintf(os.Stderr, "tpsflow:   %-12s seed=%-4d %-10s obj=%g\n",
-					v.Name, v.Seed, v.Status, v.Objective)
-			}
-			if m := info.Metrics; m != nil {
-				// Deterministic winner line, mirroring the local -portfolio
-				// output so the two modes can be diffed.
-				fmt.Printf("RACE winner=%s obj=%g slack=%.0fps cycle=%.0fps wire=%.0fµm\n",
-					r.Winner, r.Verdicts[r.WinnerIndex].Objective, m.WorstSlack, m.CycleAchieved, m.SteinerWireUm)
-			}
-			return nil
-		}
-		if m := info.Metrics; m != nil {
-			fmt.Fprintf(os.Stderr, "tpsflow: job %s done: slack=%.0fps cycle=%.0fps wire=%.0fµm\n",
-				info.ID, m.WorstSlack, m.CycleAchieved, m.SteinerWireUm)
-		}
-		return nil
-	default:
+	if info.State != serve.JobDone {
 		return fmt.Errorf("job %s %s: %s", info.ID, info.State, info.Error)
 	}
+	switch a, r, m := info.Autotune, info.Race, info.Metrics; {
+	case a != nil:
+		printAutotuneWinner(a.Winner, orZero(a.WinnerObjective), orZero(a.BaseObjective),
+			a.Generations, a.Evaluated, a.WinnerScript)
+	case r != nil:
+		for _, v := range r.Verdicts {
+			fmt.Fprintf(os.Stderr, "tpsflow:   %-12s seed=%-4d %-10s obj=%g\n",
+				v.Name, v.Seed, v.Status, v.Objective)
+		}
+		if m != nil {
+			printRaceWinner(r.Winner, r.Verdicts[r.WinnerIndex].Objective, m)
+		}
+	case m != nil:
+		fmt.Fprintf(os.Stderr, "tpsflow: job %s done: slack=%.0fps cycle=%.0fps wire=%.0fµm\n",
+			info.ID, m.WorstSlack, m.CycleAchieved, m.SteinerWireUm)
+	}
+	return nil
 }
 
-// scenarioSource resolves the script text to submit: the -scenario file
-// verbatim, or the built-in flow rendered as a script.
-func scenarioSource(o submitOpts) (string, error) {
-	if o.scenarioFile != "" {
-		b, err := os.ReadFile(o.scenarioFile)
-		if err != nil {
-			return "", err
-		}
-		return string(b), nil
+// orZero reads an optional objective; a missing one prints as 0.
+func orZero(p *float64) float64 {
+	if p == nil {
+		return 0
 	}
-	switch o.flow {
-	case "tps":
-		return tps.TPSScript(tps.DefaultTPSOptions()), nil
-	case "spr":
-		return tps.SPRScript(tps.DefaultSPROptions()), nil
-	}
-	return "", fmt.Errorf("unknown flow %q (want tps or spr)", o.flow)
+	return *p
 }
 
 // fetchJob retries briefly: the job goes terminal the instant flow_end

@@ -219,6 +219,9 @@ type search struct {
 }
 
 func newSearch(forker *netio.Forker, spec *Spec) (*search, error) {
+	if err := spec.Validate(); err != nil {
+		return nil, err
+	}
 	if spec.Population <= 0 {
 		spec.Population = 4
 	}
@@ -228,39 +231,61 @@ func newSearch(forker *netio.Forker, spec *Spec) (*search, error) {
 	if spec.Generations <= 0 {
 		spec.Generations = 4
 	}
-	if spec.Offspring+1 > portfolio.MaxEntrants {
-		return nil, fmt.Errorf("autoflow: offspring %d exceeds the race limit of %d entrants",
-			spec.Offspring, portfolio.MaxEntrants-1)
-	}
-	obj := spec.Objective
-	if obj == "" {
-		obj = "slack"
-	}
-	switch obj {
-	case "slack", "tns", "wire":
-	default:
-		return nil, fmt.Errorf("autoflow: unknown objective %q (want slack, tns, or wire)", obj)
-	}
-	if spec.Script == "" {
-		return nil, errors.New("autoflow: spec has no base script")
-	}
-	baseScript, err := scenario.Parse(spec.Script)
-	if err != nil {
-		return nil, fmt.Errorf("autoflow: base script: %w", err)
-	}
-	mut, err := newMutator(spec)
-	if err != nil {
-		return nil, err
-	}
+	obj, _ := portfolio.Objective(spec.Objective)
+	baseScript, _ := scenario.Parse(spec.Script)
 	s := &search{
 		spec:   spec,
 		obj:    obj,
 		forker: forker,
-		mut:    mut,
+		mut:    newMutator(spec),
 		cache:  map[string]*variant{},
 	}
 	s.base = s.intern(baseScript, "base")
 	return s, nil
+}
+
+// Validate reports the first reason SearchForker would refuse spec: an
+// offspring count whose generation race would exceed
+// portfolio.MaxEntrants, an unknown objective, a base script that is
+// missing or does not parse, a Freeze or Insert name the registry does
+// not know, or a Params domain that is malformed or declared twice. Run
+// it before queueing a search to fail the spec up front; the search
+// itself runs it again before forking anything.
+func (spec *Spec) Validate() error {
+	if spec.Offspring+1 > portfolio.MaxEntrants {
+		return fmt.Errorf("autoflow: offspring %d exceeds the race limit of %d entrants",
+			spec.Offspring, portfolio.MaxEntrants-1)
+	}
+	if _, err := portfolio.Objective(spec.Objective); err != nil {
+		return fmt.Errorf("autoflow: %w", err)
+	}
+	if spec.Script == "" {
+		return errors.New("autoflow: spec has no base script")
+	}
+	if _, err := scenario.Parse(spec.Script); err != nil {
+		return fmt.Errorf("autoflow: base script: %w", err)
+	}
+	for _, name := range spec.Freeze {
+		if scenario.Lookup(name) == nil {
+			return fmt.Errorf("autoflow: freeze names unknown transform %q", name)
+		}
+	}
+	for _, name := range spec.Insert {
+		if scenario.Lookup(name) == nil {
+			return fmt.Errorf("autoflow: insert names unknown transform %q", name)
+		}
+	}
+	seen := map[string]bool{}
+	for _, d := range spec.Params {
+		if !d.Valid() {
+			return fmt.Errorf("autoflow: bad param domain %q", d.Key)
+		}
+		if seen[d.Key] {
+			return fmt.Errorf("autoflow: duplicate param domain %q", d.Key)
+		}
+		seen[d.Key] = true
+	}
+	return nil
 }
 
 // intern canonicalizes a script and returns its variant, creating one on

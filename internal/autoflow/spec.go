@@ -6,6 +6,7 @@ import (
 	"strings"
 	"time"
 
+	"tps/internal/portfolio"
 	"tps/internal/scenario"
 )
 
@@ -71,12 +72,10 @@ func ParseSpec(text string, resolve func(flow, script string) (string, error)) (
 			if len(f) != 2 {
 				return nil, specErr(lineNo, "objective needs a value")
 			}
-			switch f[1] {
-			case "slack", "tns", "wire":
-				spec.Objective = f[1]
-			default:
-				return nil, specErr(lineNo, fmt.Sprintf("unknown objective %q", f[1]))
+			if _, err := portfolio.Objective(f[1]); err != nil {
+				return nil, specErr(lineNo, err.Error())
 			}
+			spec.Objective = f[1]
 		case "population", "offspring", "generations", "stall", "workers":
 			if len(f) != 2 {
 				return nil, specErr(lineNo, f[0]+" needs a count")

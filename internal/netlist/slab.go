@@ -24,7 +24,7 @@ package netlist
 // Positions returns the gate-center coordinate slabs indexed by gate ID
 // (length GateCap). Entries for tombstoned or never-issued IDs are stale or
 // zero. The slices are live views — they must not be mutated, and they may
-// be re-backed by the next AddGate or Compact, so do not retain them across
+// be re-backed by the next AddGate, so do not retain them across
 // topology edits.
 func (nl *Netlist) Positions() (x, y []float64) { return nl.posX, nl.posY }
 

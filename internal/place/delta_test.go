@@ -41,9 +41,9 @@ func TestDeltaScoringMatchesFullRescore(t *testing.T) {
 		defer stB.Close()
 
 		opt := DefaultDetailedOptions()
-		accA := DetailedPlace(nlA, stA, w, h, opt, nil)
+		accA := DetailedPlace(nlA, stA, w, h, opt)
 		opt.fullRescore = true
-		accB := DetailedPlace(nlB, stB, w, h, opt, nil)
+		accB := DetailedPlace(nlB, stB, w, h, opt)
 
 		if accA != accB {
 			t.Errorf("seed %d: delta accepted %d moves, full rescore accepted %d", seed, accA, accB)

@@ -142,8 +142,7 @@ type DetailedOptions struct {
 	// advantage and serialize all rows. Zero-weight nets are likewise
 	// skipped (their contribution is exactly zero either way).
 	MaxScoreNetPins int
-	// Workers bounds how many non-conflicting rows optimize concurrently
-	// (default-objective path only; a custom score hook runs serially).
+	// Workers bounds how many non-conflicting rows optimize concurrently.
 	// Rows are colored so same-color rows share no scored net, color
 	// classes run in ascending order, and gate moves ride a netlist move
 	// batch — results are identical at any worker count.
@@ -165,9 +164,7 @@ func DefaultDetailedOptions() DetailedOptions {
 // row; within the window every pair swap and every permutation of small
 // sub-groups is scored (weighted Steiner length of the affected nets) and
 // the best improving move is kept, followed by in-row relegalization.
-// The score hook lets callers add timing/area terms to the paper's
-// "timing, noise and area objectives".
-func DetailedPlace(nl *netlist.Netlist, st *steiner.Cache, chipW, chipH float64, opt DetailedOptions, score func() float64) int {
+func DetailedPlace(nl *netlist.Netlist, st *steiner.Cache, chipW, chipH float64, opt DetailedOptions) int {
 	if opt.WindowSize <= 1 {
 		opt.WindowSize = 20
 	}
@@ -205,7 +202,7 @@ func DetailedPlace(nl *netlist.Netlist, st *steiner.Cache, chipW, chipH float64,
 			if end > len(row) {
 				end = len(row)
 			}
-			acc += optimizeWindow(nl, st, row[start:end], opt, score, &sc)
+			acc += optimizeWindow(nl, row[start:end], opt, &sc)
 			if end == len(row) {
 				break
 			}
@@ -213,25 +210,13 @@ func DetailedPlace(nl *netlist.Netlist, st *steiner.Cache, chipW, chipH float64,
 		return acc
 	}
 
-	accepted := 0
-	if score != nil {
-		// Custom-objective path: the hook may query analyzers, which need
-		// to hear every move as it happens — serial, no batch.
-		for pass := 0; pass < opt.Passes; pass++ {
-			for _, r := range rowIDs {
-				accepted += runRow(rows[r])
-			}
-		}
-		return accepted
-	}
-
-	// Default-objective path: swaps stay within their row, so rows are the
-	// parallel unit. Rows coupled by a scored net must not run together
-	// (one's scorer reads positions the other writes); color the conflict
-	// graph and run each color class's rows concurrently, classes in
-	// ascending order. Gates never change rows, so one coloring serves all
-	// passes. The move batch defers observer notification to a single
-	// ID-ordered replay, identical at every worker count.
+	// Swaps stay within their row, so rows are the parallel unit. Rows
+	// coupled by a scored net must not run together (one's scorer reads
+	// positions the other writes); color the conflict graph and run each
+	// color class's rows concurrently, classes in ascending order. Gates
+	// never change rows, so one coloring serves all passes. The move batch
+	// defers observer notification to a single ID-ordered replay, identical
+	// at every worker count.
 	gateRow := make([]int32, nl.GateCap())
 	for i := range gateRow {
 		gateRow[i] = -1
@@ -264,6 +249,7 @@ func DetailedPlace(nl *netlist.Netlist, st *steiner.Cache, chipW, chipH float64,
 		}
 	}
 	nl.EndMoveBatch()
+	accepted := 0
 	for _, a := range rowAcc {
 		accepted += a
 	}
@@ -500,16 +486,9 @@ func (s *windowScorer) posChanged(gates []*netlist.Gate) bool {
 // the weighted HPWL of the affected nets — for single-row swap decisions
 // HPWL ranks moves the same as the Steiner length at a fraction of the
 // cost — evaluated through the delta scorer above.
-func optimizeWindow(nl *netlist.Netlist, st *steiner.Cache, win []*netlist.Gate, opt DetailedOptions, score func() float64, sc *windowScorer) int {
+func optimizeWindow(nl *netlist.Netlist, win []*netlist.Gate, opt DetailedOptions, sc *windowScorer) int {
 	if len(win) < 2 {
 		return 0
-	}
-	_ = st
-	if score != nil {
-		return optimizeWindowHook(nl, win, opt, score)
-	}
-	if sc == nil {
-		sc = &windowScorer{}
 	}
 	sc.reset(win, opt)
 
@@ -543,38 +522,6 @@ func optimizeWindow(nl *netlist.Netlist, st *steiner.Cache, win []*netlist.Gate,
 		if k := opt.MaxPermute; k >= 2 && len(win) >= k {
 			for i := 0; i+k <= len(win); i++ {
 				if tryPermuteDelta(nl, win, i, k, sc) {
-					accepted++
-					improved = true
-				}
-			}
-		}
-	}
-	return accepted
-}
-
-// optimizeWindowHook is the generic-objective path: when the caller
-// supplies a score hook (timing/area terms), every candidate re-invokes it
-// — the hook owns whatever incrementality it can offer.
-func optimizeWindowHook(nl *netlist.Netlist, win []*netlist.Gate, opt DetailedOptions, score func() float64) int {
-	accepted := 0
-	improved := true
-	for iter := 0; improved && iter < 3; iter++ {
-		improved = false
-		for i := 0; i < len(win); i++ {
-			for j := i + 1; j < len(win); j++ {
-				before := score()
-				swapSlots(nl, win, i, j)
-				if after := score(); after < before-1e-9 {
-					accepted++
-					improved = true
-				} else {
-					swapSlots(nl, win, i, j) // revert
-				}
-			}
-		}
-		if k := opt.MaxPermute; k >= 2 && len(win) >= k {
-			for i := 0; i+k <= len(win); i++ {
-				if tryPermute(nl, win, i, k, score) {
 					accepted++
 					improved = true
 				}
@@ -649,44 +596,5 @@ func tryPermuteDelta(nl *netlist.Netlist, win []*netlist.Gate, i, k int, sc *win
 	// original order wins (the re-pack squeezes out gaps), so the cache is
 	// refreshed unconditionally.
 	sc.refresh(aff)
-	return bestScore < orig-1e-9
-}
-
-// tryPermute exhaustively reorders win[i:i+k] and keeps the best order.
-func tryPermute(nl *netlist.Netlist, win []*netlist.Gate, i, k int, score func() float64) bool {
-	lo := win[i].X - win[i].Width()/2
-	group := make([]*netlist.Gate, k)
-	copy(group, win[i:i+k])
-	best := append([]*netlist.Gate(nil), group...)
-	bestScore := score()
-	orig := bestScore
-	perm := make([]int, k)
-	for p := range perm {
-		perm[p] = p
-	}
-	var rec func(depth int)
-	rec = func(depth int) {
-		if depth == k {
-			for p, gi := range perm {
-				win[i+p] = group[gi]
-			}
-			repack(nl, win[i:i+k], lo)
-			if s := score(); s < bestScore-1e-9 {
-				bestScore = s
-				for p := range best {
-					best[p] = win[i+p]
-				}
-			}
-			return
-		}
-		for p := depth; p < k; p++ {
-			perm[depth], perm[p] = perm[p], perm[depth]
-			rec(depth + 1)
-			perm[depth], perm[p] = perm[p], perm[depth]
-		}
-	}
-	rec(0)
-	copy(win[i:i+k], best)
-	repack(nl, win[i:i+k], lo)
 	return bestScore < orig-1e-9
 }

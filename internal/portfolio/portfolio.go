@@ -186,40 +186,11 @@ func Race(ctx context.Context, base *gen.Design, spec Spec) (*Result, error) {
 // every generation's entrants from ONE shared Forker, so the base design
 // is serialized exactly once no matter how many variants are evaluated.
 func RaceForker(ctx context.Context, forker *netio.Forker, spec Spec) (*Result, error) {
+	if err := spec.Validate(); err != nil {
+		return nil, err
+	}
 	n := len(spec.Entrants)
-	if n == 0 {
-		return nil, errors.New("portfolio: race needs at least one entrant")
-	}
-	if n > MaxEntrants {
-		return nil, fmt.Errorf("portfolio: %d entrants exceeds the limit of %d", n, MaxEntrants)
-	}
-	obj := spec.Objective
-	if obj == "" {
-		obj = "slack"
-	}
-	switch obj {
-	case "slack", "tns", "wire":
-	default:
-		return nil, fmt.Errorf("portfolio: unknown objective %q (want slack, tns, or wire)", obj)
-	}
-	seen := make(map[string]int, n)
-	for i := range spec.Entrants {
-		e := &spec.Entrants[i]
-		name := entrantName(e, i)
-		if j, dup := seen[name]; dup {
-			return nil, fmt.Errorf("portfolio: entrants %d and %d share the name %q", j, i, name)
-		}
-		seen[name] = i
-		if e.Script == "" {
-			return nil, fmt.Errorf("portfolio: entrant %q has no script", name)
-		}
-		// Validate now so a bad spec fails before any flow starts. Each
-		// entrant re-parses privately at run time: a parsed Script carries
-		// per-run step latches and must not be shared across goroutines.
-		if _, err := scenario.Parse(e.Script); err != nil {
-			return nil, fmt.Errorf("portfolio: entrant %q: %w", name, err)
-		}
-	}
+	obj, _ := Objective(spec.Objective)
 
 	raceCtx := ctx
 	if spec.Deadline > 0 {
@@ -282,6 +253,56 @@ func RaceForker(ctx context.Context, forker *netio.Forker, spec Spec) (*Result, 
 		return res, ErrNoWinner
 	}
 	return res, nil
+}
+
+// Validate reports the first reason RaceForker would refuse spec: no
+// entrants or more than MaxEntrants, an unknown objective, two entrants
+// sharing a name, or an entrant whose script is missing or does not
+// parse. Run it before queueing a race to fail the spec up front; the
+// race itself runs it again before forking anything.
+func (spec *Spec) Validate() error {
+	n := len(spec.Entrants)
+	if n == 0 {
+		return errors.New("portfolio: race needs at least one entrant")
+	}
+	if n > MaxEntrants {
+		return fmt.Errorf("portfolio: %d entrants exceeds the limit of %d", n, MaxEntrants)
+	}
+	if _, err := Objective(spec.Objective); err != nil {
+		return fmt.Errorf("portfolio: %w", err)
+	}
+	seen := make(map[string]int, n)
+	for i := range spec.Entrants {
+		e := &spec.Entrants[i]
+		name := entrantName(e, i)
+		if j, dup := seen[name]; dup {
+			return fmt.Errorf("portfolio: entrants %d and %d share the name %q", j, i, name)
+		}
+		seen[name] = i
+		if e.Script == "" {
+			return fmt.Errorf("portfolio: entrant %q has no script", name)
+		}
+		// Parsed only to validate: each entrant re-parses privately at
+		// run time, because a parsed Script carries per-run step latches
+		// and must not be shared across goroutines.
+		if _, err := scenario.Parse(e.Script); err != nil {
+			return fmt.Errorf("portfolio: entrant %q: %w", name, err)
+		}
+	}
+	return nil
+}
+
+// Objective resolves an objective name to its key: "" selects "slack";
+// "slack", "tns" and "wire" are themselves; anything else is an error.
+// Races, autoflow searches and their spec parsers all judge by it.
+func Objective(name string) (string, error) {
+	switch name {
+	case "":
+		return "slack", nil
+	case "slack", "tns", "wire":
+		return name, nil
+	}
+	return "", fmt.Errorf("unknown objective %q (want slack, tns, or wire)", name)
 }
 
 // race is one Race invocation's shared state. mu guards verdicts,

@@ -51,12 +51,10 @@ func ParseSpec(text string, resolve func(flow, script string) (string, error)) (
 			if len(f) != 2 {
 				return nil, fmt.Errorf("portfolio spec: line %d: objective needs a value", lineNo)
 			}
-			switch f[1] {
-			case "slack", "tns", "wire":
-				spec.Objective = f[1]
-			default:
-				return nil, fmt.Errorf("portfolio spec: line %d: unknown objective %q", lineNo, f[1])
+			if _, err := Objective(f[1]); err != nil {
+				return nil, fmt.Errorf("portfolio spec: line %d: %w", lineNo, err)
 			}
+			spec.Objective = f[1]
 		case "deadline":
 			if len(f) != 2 {
 				return nil, fmt.Errorf("portfolio spec: line %d: deadline needs seconds", lineNo)

@@ -28,7 +28,13 @@
 // every entrant's tagged events (one flow_end per entrant, then one
 // race_verdict, then the job's terminal flow_end), and the job's
 // metrics are the winner's. See internal/portfolio for the
-// determinism and early-stop rules.
+// determinism and early-stop rules. A submission carrying Autotune is an
+// autoflow search, judged the same way by its best variant.
+//
+// All three job kinds share one path: at submit the request is mapped to
+// its engine and checked by that engine's own spec validation (so any
+// spec the engine would refuse is answered 400), and a worker runs every
+// job the same way — grant, acquire the design, run the engine, finish.
 package serve
 
 import (
@@ -43,11 +49,8 @@ import (
 	"sync"
 	"time"
 
-	"tps/internal/autoflow"
 	"tps/internal/cell"
 	"tps/internal/netio"
-	"tps/internal/portfolio"
-	"tps/internal/scenario"
 )
 
 // Config tunes the service.
@@ -215,45 +218,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "decode request: "+err.Error())
 		return
 	}
-	j := &Job{
-		seed:  req.Seed,
-		want:  req.Workers,
-		hub:   newTraceHub(),
-		state: JobQueued,
-	}
-	if j.seed == 0 {
-		j.seed = 1
-	}
-	switch {
-	case req.Autotune != nil && len(req.Entrants) > 0:
-		writeErr(w, http.StatusBadRequest, "a job is a race or an autotune search, not both")
+	run, err := newEngine(&req)
+	if err != nil {
+		writeErr(w, http.StatusBadRequest, err.Error())
 		return
-	case req.Autotune != nil:
-		spec, err := autotuneSpecFromRequest(&req, j.seed)
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, err.Error())
-			return
-		}
-		j.tune = spec
-	case len(req.Entrants) > 0:
-		spec, err := raceSpecFromRequest(&req)
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, err.Error())
-			return
-		}
-		j.race = spec
-	default:
-		if req.Scenario == "" {
-			writeErr(w, http.StatusBadRequest, "missing scenario script")
-			return
-		}
-		script, err := scenario.Parse(req.Scenario)
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, "parse scenario: "+err.Error())
-			return
-		}
-		j.script = script
 	}
+	j := &Job{run: run, want: req.Workers, hub: newTraceHub(), state: JobQueued}
 	switch {
 	case req.Design != "" && req.Netlist != "":
 		writeErr(w, http.StatusBadRequest, "give either a stored design name or an inline netlist, not both")
@@ -300,123 +270,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusAccepted, SubmitResponse{JobID: j.ID, State: JobQueued})
-}
-
-// raceSpecFromRequest validates a race submission and builds the
-// portfolio spec the job will run. Per-run fields (Name, Workers,
-// Trace) are filled in at execution time.
-func raceSpecFromRequest(req *SubmitRequest) (*portfolio.Spec, error) {
-	if len(req.Entrants) > portfolio.MaxEntrants {
-		return nil, fmt.Errorf("%d entrants exceeds the limit of %d", len(req.Entrants), portfolio.MaxEntrants)
-	}
-	switch req.Objective {
-	case "", "slack", "tns", "wire":
-	default:
-		return nil, fmt.Errorf("unknown objective %q (want slack, tns, or wire)", req.Objective)
-	}
-	if req.DeadlineSec < 0 {
-		return nil, fmt.Errorf("negative deadline_sec")
-	}
-	spec := &portfolio.Spec{
-		Objective: req.Objective,
-		Deadline:  time.Duration(req.DeadlineSec * float64(time.Second)),
-	}
-	names := make(map[string]int, len(req.Entrants))
-	for i, e := range req.Entrants {
-		name := e.Name
-		if name == "" {
-			name = fmt.Sprintf("e%d", i)
-		}
-		if prev, dup := names[name]; dup {
-			return nil, fmt.Errorf("entrants %d and %d share the name %q", prev, i, name)
-		}
-		names[name] = i
-		text := e.Scenario
-		if text == "" {
-			text = req.Scenario
-		}
-		if text == "" {
-			return nil, fmt.Errorf("entrant %q has no scenario and the request sets no default", name)
-		}
-		if _, err := scenario.Parse(text); err != nil {
-			return nil, fmt.Errorf("entrant %q: %s", name, err.Error())
-		}
-		seed := e.Seed
-		if seed == 0 {
-			seed = int64(i + 1)
-		}
-		spec.Entrants = append(spec.Entrants, portfolio.Entrant{
-			Name: e.Name, Script: text, Seed: seed,
-			Bound: e.Bound, Params: e.Params,
-		})
-	}
-	return spec, nil
-}
-
-// autotuneSpecFromRequest validates an autotune submission and builds
-// the search spec the job will run. Per-run fields (Name, Workers,
-// Trace) are filled in at execution time. Validation here mirrors what
-// the search itself enforces so a bad spec fails at submit, not after
-// queueing.
-func autotuneSpecFromRequest(req *SubmitRequest, defaultSeed int64) (*autoflow.Spec, error) {
-	a := req.Autotune
-	base := a.Scenario
-	if base == "" {
-		base = req.Scenario
-	}
-	if base == "" {
-		return nil, fmt.Errorf("autotune needs a base scenario (autotune.scenario or the request's)")
-	}
-	if _, err := scenario.Parse(base); err != nil {
-		return nil, fmt.Errorf("autotune base scenario: %s", err.Error())
-	}
-	switch a.Objective {
-	case "", "slack", "tns", "wire":
-	default:
-		return nil, fmt.Errorf("unknown objective %q (want slack, tns, or wire)", a.Objective)
-	}
-	if a.DeadlineSec < 0 {
-		return nil, fmt.Errorf("negative deadline_sec")
-	}
-	if a.Offspring+1 > portfolio.MaxEntrants {
-		return nil, fmt.Errorf("offspring %d exceeds the race limit of %d entrants", a.Offspring, portfolio.MaxEntrants-1)
-	}
-	for _, name := range a.Freeze {
-		if scenario.Lookup(name) == nil {
-			return nil, fmt.Errorf("freeze names unknown transform %q", name)
-		}
-	}
-	for _, name := range a.Insert {
-		if scenario.Lookup(name) == nil {
-			return nil, fmt.Errorf("insert names unknown transform %q", name)
-		}
-	}
-	for _, d := range a.Params {
-		if !d.Valid() {
-			return nil, fmt.Errorf("bad param domain %q", d.Key)
-		}
-	}
-	seed := a.Seed
-	if seed == 0 {
-		seed = defaultSeed
-	}
-	spec := &autoflow.Spec{
-		Script:      base,
-		Objective:   a.Objective,
-		Population:  a.Population,
-		Offspring:   a.Offspring,
-		Generations: a.Generations,
-		Stall:       a.Stall,
-		Seed:        seed,
-		Deadline:    time.Duration(a.DeadlineSec * float64(time.Second)),
-		Freeze:      a.Freeze,
-		Insert:      a.Insert,
-		Params:      a.Params,
-	}
-	if a.Weights != nil {
-		spec.Weights = *a.Weights
-	}
-	return spec, nil
 }
 
 func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
