@@ -32,7 +32,7 @@ import (
 	"tps/internal/serve"
 
 	// Register every built-in transform with the scenario engine.
-	_ "tps/internal/core"
+	_ "tps"
 )
 
 func main() {

@@ -1,4 +1,4 @@
-package core
+package tps
 
 import (
 	"sync"
@@ -6,6 +6,7 @@ import (
 
 	"tps/internal/cell"
 	"tps/internal/gen"
+	"tps/internal/scenario"
 )
 
 // outcome is one flow's observable result: the Table-1 metrics plus the
@@ -31,7 +32,7 @@ func runFlow(cfg flowCfg) outcome {
 	p := gen.Des(cfg.des, cfg.scale)
 	p.Seed = cfg.seed
 	d := gen.Generate(cell.Default(), p)
-	c := NewContext(d, cfg.seed)
+	c := scenario.NewContext(d, cfg.seed)
 	defer c.Close()
 	c.SetWorkers(2)
 	var m Metrics
@@ -39,13 +40,13 @@ func runFlow(cfg flowCfg) outcome {
 		opt := DefaultTPSOptions()
 		opt.TransformBudget = 16
 		opt.SkipRouting = true
-		m = RunTPS(c, opt)
+		m = runBuiltin(c, TPSScript(opt))
 	} else {
 		opt := DefaultSPROptions()
 		opt.MaxIterations = 2
 		opt.TransformBudget = 16
 		opt.SkipRouting = true
-		m = RunSPR(c, opt)
+		m = runBuiltin(c, SPRScript(opt))
 	}
 	m.CPUSeconds = 0
 	return outcome{m: m, st: c.AnalyzerStats()}

@@ -1,57 +1,18 @@
-// Package core wires the scenario engine to the transform packages and
-// provides the two built-in flows: the TPS scenario of Figure 5 and the
+package tps
+
+// The two built-in flows: the TPS scenario of Figure 5 and the
 // traditional synthesis–place–resynthesize (SPR) baseline that Table 1
-// compares against. Since the engine refactor both flows are ordinary
-// scenario scripts — TPSScript and SPRScript render them as text, and
-// RunTPS/RunSPR execute them through scenario.Run. The analyzer-stack
-// types (Context, Metrics, AnalyzerStats) live in internal/scenario and
-// are re-exported here under their historical names.
-package core
+// compares against. Both are ordinary scenario scripts — TPSScript and
+// SPRScript render them as text, and Design.RunTPS/RunSPR execute that
+// text through the scenario engine.
 
 import (
 	"fmt"
 	"strings"
 
-	"tps/internal/gen"
 	"tps/internal/netweight"
-	"tps/internal/portfolio"
 	"tps/internal/scenario"
-
-	// The transform packages register their scenario building blocks in
-	// init; importing them here makes every flow binary that links core
-	// see the full registry.
-	_ "tps/internal/clockscan"
-	_ "tps/internal/migrate"
-	_ "tps/internal/place"
-	_ "tps/internal/quadratic"
-	_ "tps/internal/relocate"
-	_ "tps/internal/route"
-	_ "tps/internal/sizing"
-	_ "tps/internal/synth"
 )
-
-// Context bundles a design with its shared analyzers and the scenario
-// interpreter's state. See scenario.Context.
-type Context = scenario.Context
-
-// Metrics mirrors the Table 1 columns. See scenario.Metrics.
-type Metrics = scenario.Metrics
-
-// AnalyzerStats exposes the incremental engines' counters. See
-// scenario.AnalyzerStats.
-type AnalyzerStats = scenario.AnalyzerStats
-
-// NewContext builds the analyzer stack over a generated design, starting
-// in gain-based timing mode (the early-flow model of §5).
-func NewContext(d *gen.Design, seed int64) *Context {
-	return scenario.NewContext(d, seed)
-}
-
-// CycleImprovementPct computes Table 1's "% cycle time impr." between an
-// SPR run and a TPS run of the same design.
-func CycleImprovementPct(spr, tps Metrics) float64 {
-	return scenario.CycleImprovementPct(spr, tps)
-}
 
 // TPSOptions tunes the Figure 5 scenario.
 type TPSOptions struct {
@@ -111,7 +72,7 @@ func TPSScript(opt TPSOptions) string {
 	}
 	var b strings.Builder
 	w := func(format string, args ...interface{}) { fmt.Fprintf(&b, format+"\n", args...) }
-	w("# Figure 5: the TPS scenario (generated by core.TPSScript)")
+	w("# Figure 5: the TPS scenario (generated by tps.TPSScript)")
 	w("scenario TPS")
 	w("set step %d", opt.Step)
 	w("set budget %d", opt.TransformBudget)
@@ -179,35 +140,6 @@ func TPSScript(opt TPSOptions) string {
 	return b.String()
 }
 
-// RunTPS executes the TPS scenario of Figure 5 through the scenario
-// engine and returns the final metrics. The input netlist needs no
-// initial placement — the flow starts from the bare netlist, which is
-// the paper's headline capability.
-func RunTPS(c *Context, opt TPSOptions) Metrics {
-	return runBuiltin(c, TPSScript(opt))
-}
-
-// TPSEntrants builds the quickest useful portfolio-race lineup: n
-// entrants all running TPSScript(opt), seeded baseSeed…baseSeed+n−1 and
-// named "tps-s<seed>". Because the TPS flow's quadrisection and
-// detailed-placement moves derive from the context seed, each entrant
-// explores a different placement trajectory from the same checkpoint;
-// racing them and keeping the best traced objective is the
-// multi-placement-structures idea applied to the whole flow.
-func TPSEntrants(n int, opt TPSOptions, baseSeed int64) []portfolio.Entrant {
-	text := TPSScript(opt)
-	es := make([]portfolio.Entrant, n)
-	for i := range es {
-		seed := baseSeed + int64(i)
-		es[i] = portfolio.Entrant{
-			Name:   fmt.Sprintf("tps-s%d", seed),
-			Script: text,
-			Seed:   seed,
-		}
-	}
-	return es
-}
-
 // SPROptions tunes the baseline flow.
 type SPROptions struct {
 	// MaxIterations bounds the resynthesis↔replace loop (the paper's SPR
@@ -234,7 +166,7 @@ func SPRScript(opt SPROptions) string {
 	}
 	var b strings.Builder
 	w := func(format string, args ...interface{}) { fmt.Fprintf(&b, format+"\n", args...) }
-	w("# Traditional synthesis-place-resynthesize baseline (generated by core.SPRScript)")
+	w("# Traditional synthesis-place-resynthesize baseline (generated by tps.SPRScript)")
 	w("scenario SPR")
 	w("set budget %d", opt.TransformBudget)
 	w("set weight_mode absolute")
@@ -284,21 +216,17 @@ func SPRScript(opt SPROptions) string {
 	return b.String()
 }
 
-// RunSPR executes the traditional baseline through the scenario engine.
-func RunSPR(c *Context, opt SPROptions) Metrics {
-	return runBuiltin(c, SPRScript(opt))
-}
-
-func runBuiltin(c *Context, script string) Metrics {
+// runBuiltin executes a generated built-in flow script on c.
+func runBuiltin(c *scenario.Context, script string) Metrics {
 	s, err := scenario.Parse(script)
 	if err != nil {
 		// The generators and the registry ship together; a parse failure
 		// here is a build defect, not a runtime condition.
-		panic("core: builtin scenario does not parse: " + err.Error())
+		panic("tps: builtin scenario does not parse: " + err.Error())
 	}
 	m, err := scenario.Run(c, s)
 	if err != nil {
-		panic("core: builtin scenario failed: " + err.Error())
+		panic("tps: builtin scenario failed: " + err.Error())
 	}
 	return m
 }

@@ -1,21 +1,22 @@
-package core
+package tps
 
 import (
 	"testing"
 
 	"tps/internal/cell"
 	"tps/internal/netlist"
+	"tps/internal/scenario"
 )
 
 func TestTPSWithoutVirtualDiscretization(t *testing.T) {
 	d := smallDesign(11)
-	c := NewContext(d, 11)
+	c := scenario.NewContext(d, 11)
 	defer c.Close()
 	opt := DefaultTPSOptions()
 	opt.VirtualDiscretization = false
 	opt.SkipRouting = true
 	opt.TransformBudget = 8
-	m := RunTPS(c, opt)
+	m := runBuiltin(c, TPSScript(opt))
 	if m.ICells == 0 {
 		t.Fatal("no metrics")
 	}
@@ -26,13 +27,13 @@ func TestTPSWithoutVirtualDiscretization(t *testing.T) {
 
 func TestTPSWithoutReflow(t *testing.T) {
 	d := smallDesign(12)
-	c := NewContext(d, 12)
+	c := scenario.NewContext(d, 12)
 	defer c.Close()
 	opt := DefaultTPSOptions()
 	opt.DisableReflow = true
 	opt.SkipRouting = true
 	opt.TransformBudget = 8
-	m := RunTPS(c, opt)
+	m := runBuiltin(c, TPSScript(opt))
 	if m.ICells == 0 {
 		t.Fatal("no metrics")
 	}
@@ -40,13 +41,13 @@ func TestTPSWithoutReflow(t *testing.T) {
 
 func TestTPSTraditionalClockPath(t *testing.T) {
 	d := smallDesign(13)
-	c := NewContext(d, 13)
+	c := scenario.NewContext(d, 13)
 	defer c.Close()
 	opt := DefaultTPSOptions()
 	opt.DisableClockScanSchedule = true
 	opt.SkipRouting = true
 	opt.TransformBudget = 8
-	RunTPS(c, opt)
+	runBuiltin(c, TPSScript(opt))
 	// Clock pins must still all be driven after the late optimization.
 	c.NL.Gates(func(g *netlist.Gate) {
 		if g.IsSequential() {
@@ -62,12 +63,12 @@ func TestTPSTraditionalClockPath(t *testing.T) {
 
 func TestSPRLeavesLegalPlacementAndClocks(t *testing.T) {
 	d := smallDesign(14)
-	c := NewContext(d, 14)
+	c := scenario.NewContext(d, 14)
 	defer c.Close()
 	opt := DefaultSPROptions()
 	opt.SkipRouting = true
 	opt.TransformBudget = 8
-	m := RunSPR(c, opt)
+	m := runBuiltin(c, SPRScript(opt))
 	if m.Iterations < 2 {
 		t.Fatalf("iterations = %d", m.Iterations)
 	}
@@ -86,12 +87,12 @@ func TestSPRLeavesLegalPlacementAndClocks(t *testing.T) {
 
 func TestEvaluateFieldsConsistent(t *testing.T) {
 	d := smallDesign(15)
-	c := NewContext(d, 15)
+	c := scenario.NewContext(d, 15)
 	defer c.Close()
 	opt := DefaultTPSOptions()
 	opt.SkipRouting = true
 	opt.TransformBudget = 4
-	m := RunTPS(c, opt)
+	m := runBuiltin(c, TPSScript(opt))
 	if m.CycleAchieved != c.Period-m.WorstSlack {
 		t.Errorf("cycle %g != period %g − slack %g", m.CycleAchieved, c.Period, m.WorstSlack)
 	}
@@ -109,11 +110,11 @@ func TestEvaluateFieldsConsistent(t *testing.T) {
 func TestNoSizelessGatesEscapeEitherFlow(t *testing.T) {
 	for seed := int64(16); seed <= 17; seed++ {
 		d := smallDesign(seed)
-		c := NewContext(d, seed)
+		c := scenario.NewContext(d, seed)
 		opt := DefaultTPSOptions()
 		opt.SkipRouting = true
 		opt.TransformBudget = 4
-		RunTPS(c, opt)
+		runBuiltin(c, TPSScript(opt))
 		c.NL.Gates(func(g *netlist.Gate) {
 			if !g.Fixed && !g.IsPad() && g.Cell.Function != cell.FuncClkBuf && g.SizeIdx < 0 {
 				t.Fatalf("seed %d: %s sizeless at end", seed, g.Name)

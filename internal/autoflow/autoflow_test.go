@@ -14,9 +14,6 @@ import (
 	"tps/internal/netio"
 	"tps/internal/portfolio"
 	"tps/internal/scenario"
-
-	// Register the full transform set (qplace, legalize, sync, …).
-	_ "tps/internal/core"
 )
 
 // Test-only transform with an autoflow-unique name (the registry is

@@ -3,7 +3,6 @@ package autoflow
 import (
 	"testing"
 
-	"tps/internal/core"
 	"tps/internal/scenario"
 )
 
@@ -12,9 +11,9 @@ import (
 // text parses, re-formatting it is a fixpoint (so intern's dedup key is
 // stable), and every step still resolves in the transform registry.
 func FuzzMutate(f *testing.F) {
+	// The built-in TPS and SPR flows seed the corpus from
+	// testdata/fuzz/FuzzMutate/{tps,spr}-flow.
 	f.Add(baseScript, int64(1), uint8(4))
-	f.Add(core.TPSScript(core.DefaultTPSOptions()), int64(7), uint8(9))
-	f.Add(core.SPRScript(core.DefaultSPROptions()), int64(3), uint8(2))
 
 	spec := testSpec("fuzz")
 	mut := newMutator(&spec)

@@ -34,7 +34,7 @@ import (
 //
 // `flow`/`script` name the base scenario exactly one way; resolve turns
 // the reference into script text (the CLI reads script paths relative to
-// the spec file and renders flows via core's generators; tests stub it).
+// the spec file and renders flows via tps's generators; tests stub it).
 // `param` lines declare scenario-level `set` domains the mutator may
 // retune, on top of the step-argument domains transforms declare in the
 // registry.

@@ -7,7 +7,6 @@ package netlist
 //	Positions()  — gate center coordinates by gate ID (MoveGate is the
 //	               only writer; AddGate zero-initializes).
 //	PinGates()   — owning gate ID by pin ID.
-//	PinByID()    — pin object by pin ID.
 //	PinCSR()     — per-net pin membership in CSR form, rebuilt lazily and
 //	               keyed on the Edits counter. Placement-only phases never
 //	               bump Edits (MoveGate/SetSize/SetGain/SetAreaScale/
@@ -16,7 +15,7 @@ package netlist
 //
 // Invariants (verified by Check):
 //   - posX[g.ID] == g.X and posY[g.ID] == g.Y for every live gate.
-//   - pinGate[p.ID] == int32(p.Gate.ID) and pinIndex[p.ID] == p.
+//   - pinGate[p.ID] == int32(p.Gate.ID).
 //   - When csrEdits == Edits: csrOff has NetCap()+1 entries and for every
 //     live net n, csrPin[csrOff[n.ID]:csrOff[n.ID+1]] lists n.pins' IDs in
 //     net pin order.
@@ -32,18 +31,9 @@ func (nl *Netlist) Positions() (x, y []float64) { return nl.posX, nl.posY }
 // NumPins). Same retention rules as Positions.
 func (nl *Netlist) PinGates() []int32 { return nl.pinGate }
 
-// PinByID returns the pin with the given id, or nil.
-func (nl *Netlist) PinByID(id int) *Pin {
-	if id < 0 || id >= len(nl.pinIndex) {
-		return nil
-	}
-	return nl.pinIndex[id]
-}
-
-// registerPins appends newly created pins to the pin index slabs.
+// registerPins appends newly created pins to the pin→gate slab.
 func (nl *Netlist) registerPins(g *Gate) {
-	for _, p := range g.Pins {
-		nl.pinIndex = append(nl.pinIndex, p)
+	for range g.Pins {
 		nl.pinGate = append(nl.pinGate, int32(g.ID))
 	}
 }

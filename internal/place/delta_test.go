@@ -11,7 +11,7 @@ import (
 // deltaDesign builds two independent but identical placed designs so the
 // delta scorer and the full-rescore reference evaluator can each run
 // DetailedPlace from the same starting state.
-func deltaDesign(t *testing.T, seed int64) (*netlist.Netlist, float64, float64) {
+func deltaDesign(t *testing.T, seed int64) *netlist.Netlist {
 	t.Helper()
 	d, _, p := testDesign(t, 300, seed)
 	p.Partition(100)
@@ -22,7 +22,7 @@ func deltaDesign(t *testing.T, seed int64) (*netlist.Netlist, float64, float64) 
 		}
 	})
 	Legalize(d.NL, d.ChipW, d.ChipH)
-	return d.NL, d.ChipW, d.ChipH
+	return d.NL
 }
 
 // TestDeltaScoringMatchesFullRescore regenerates the same design twice and
@@ -32,8 +32,8 @@ func deltaDesign(t *testing.T, seed int64) (*netlist.Netlist, float64, float64) 
 // every gate on the same coordinates.
 func TestDeltaScoringMatchesFullRescore(t *testing.T) {
 	for _, seed := range []int64{3, 11} {
-		nlA, w, h := deltaDesign(t, seed)
-		nlB, _, _ := deltaDesign(t, seed)
+		nlA := deltaDesign(t, seed)
+		nlB := deltaDesign(t, seed)
 
 		stA := steiner.NewCache(nlA)
 		stB := steiner.NewCache(nlB)
@@ -41,9 +41,9 @@ func TestDeltaScoringMatchesFullRescore(t *testing.T) {
 		defer stB.Close()
 
 		opt := DefaultDetailedOptions()
-		accA := DetailedPlace(nlA, stA, w, h, opt)
+		accA := DetailedPlace(nlA, opt)
 		opt.fullRescore = true
-		accB := DetailedPlace(nlB, stB, w, h, opt)
+		accB := DetailedPlace(nlB, opt)
 
 		if accA != accB {
 			t.Errorf("seed %d: delta accepted %d moves, full rescore accepted %d", seed, accA, accB)
@@ -69,7 +69,7 @@ func TestDeltaScoringMatchesFullRescore(t *testing.T) {
 // bit-identical to fresh recomputation — including after rejected swaps
 // whose revert re-pack squeezes inter-cell gaps and shifts positions.
 func TestWindowScorerCacheStaysFresh(t *testing.T) {
-	nl, _, _ := deltaDesign(t, 5)
+	nl := deltaDesign(t, 5)
 	var win []*netlist.Gate
 	nl.Gates(func(g *netlist.Gate) {
 		if !g.Fixed && !g.IsPad() && len(win) < 12 && (len(win) == 0 || g.Y == win[0].Y) {

@@ -164,7 +164,7 @@ func DefaultDetailedOptions() DetailedOptions {
 // row; within the window every pair swap and every permutation of small
 // sub-groups is scored (weighted Steiner length of the affected nets) and
 // the best improving move is kept, followed by in-row relegalization.
-func DetailedPlace(nl *netlist.Netlist, st *steiner.Cache, chipW, chipH float64, opt DetailedOptions) int {
+func DetailedPlace(nl *netlist.Netlist, opt DetailedOptions) int {
 	if opt.WindowSize <= 1 {
 		opt.WindowSize = 20
 	}

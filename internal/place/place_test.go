@@ -185,7 +185,7 @@ func TestDetailedPlaceImprovesWL(t *testing.T) {
 	Legalize(d.NL, d.ChipW, d.ChipH)
 	st := steiner.NewCache(d.NL)
 	before := st.Total()
-	n := DetailedPlace(d.NL, st, d.ChipW, d.ChipH, DefaultDetailedOptions())
+	n := DetailedPlace(d.NL, DefaultDetailedOptions())
 	after := st.Total()
 	if after > before+1e-6 {
 		t.Errorf("detailed place worsened WL: %g → %g", before, after)
@@ -224,7 +224,7 @@ func TestDetailedPlaceSwapTwoGates(t *testing.T) {
 	nl.MoveGate(b, 58, 3)
 	st := steiner.NewCache(nl)
 	before := st.Total()
-	DetailedPlace(nl, st, 100, 6, DetailedOptions{WindowSize: 4, MaxPermute: 2, Passes: 1})
+	DetailedPlace(nl, DetailedOptions{WindowSize: 4, MaxPermute: 2, Passes: 1})
 	if after := st.Total(); after >= before {
 		t.Errorf("swap not found: %g → %g", before, after)
 	}

@@ -89,7 +89,7 @@ func init() {
 			dopt := DefaultDetailedOptions()
 			dopt.Workers = c.Workers
 			stop := c.Track("detailed")
-			DetailedPlace(c.NL, c.St, c.ChipW, c.ChipH, dopt)
+			DetailedPlace(c.NL, dopt)
 			stop()
 			return scenario.Report{Changed: 1}, nil
 		},

@@ -14,7 +14,7 @@ import (
 	"tps/internal/scenario"
 
 	// Register the full transform set (qplace, legalize, sync, …).
-	_ "tps/internal/core"
+	_ "tps"
 )
 
 // Test-only transforms with portfolio-unique names (the registry is

@@ -21,7 +21,7 @@ import (
 // Each entrant line names its scenario exactly one way: `flow=` asks for
 // a built-in generated script, `script=` for an external one. resolve
 // turns that reference into script text — the CLI reads script= as a
-// file path and renders flow= via core's generators; tests can stub it.
+// file path and renders flow= via tps's generators; tests can stub it.
 // `set.` prefixed keys become the entrant's parameter overlay (e.g.
 // set.budget=16 caps the synthesis budget, set.objective is NOT settable
 // this way — the race objective judges all entrants uniformly).

@@ -9,9 +9,9 @@
 //
 // The package deliberately does not import any transform package —
 // transform packages import scenario to register themselves, and the
-// engine reaches them only through the registry. internal/core wires the
-// two sides together and re-exports the moved types under their old
-// names.
+// engine reaches them only through the registry. The root package tps
+// links every transform package and renders the built-in flows as
+// scripts for this engine.
 package scenario
 
 import (

@@ -6,7 +6,7 @@ import (
 	"strings"
 	"testing"
 
-	"tps/internal/core"
+	"tps"
 	"tps/internal/scenario"
 )
 
@@ -18,8 +18,8 @@ import (
 // mutation tooling.
 func FuzzParse(f *testing.F) {
 	f.Add("scenario t\ninit {\n  noop_ok\n}\n")
-	f.Add(core.TPSScript(core.DefaultTPSOptions()))
-	f.Add(core.SPRScript(core.DefaultSPROptions()))
+	f.Add(tps.TPSScript(tps.DefaultTPSOptions()))
+	f.Add(tps.SPRScript(tps.DefaultSPROptions()))
 	f.Add("scenario w\nset objective tns\nstatus {\n  probe at 5..95\n  probe at 30..\n  probe at ..40\n  probe at 55+\n}\n")
 	f.Add("scenario g\nrepeat 7 stall=2.5 {\n  noop_ok when mode=gain once\n  probe when mode!=actual\n}\nfinal {\n  noop_ok protect tol=-3.25 maxsec=0.5 k=v\n}\n")
 	f.Add("# comment\nscenario c # trailing\ninit { # open\n  noop_ok k=a=b x=1e-9\n} # close\n")
@@ -203,8 +203,8 @@ func randomToken(rng *rand.Rand) string {
 // may freely normalize TPS/SPR scripts.
 func TestBuiltinScriptsFormatStable(t *testing.T) {
 	for _, text := range []string{
-		core.TPSScript(core.DefaultTPSOptions()),
-		core.SPRScript(core.DefaultSPROptions()),
+		tps.TPSScript(tps.DefaultTPSOptions()),
+		tps.SPRScript(tps.DefaultSPROptions()),
 	} {
 		s, err := scenario.Parse(text)
 		if err != nil {

@@ -13,9 +13,9 @@ import (
 	"tps/internal/netlist"
 	"tps/internal/scenario"
 
-	// Link the full transform registry (core blank-imports every
+	// Link the full transform registry (tps blank-imports every
 	// transform package).
-	_ "tps/internal/core"
+	_ "tps"
 )
 
 // Test-only transforms. Registered once for the package.

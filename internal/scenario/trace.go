@@ -170,16 +170,6 @@ func (l *LockedWriter) Write(p []byte) (int, error) {
 	return l.w.Write(p)
 }
 
-// MultiTracer fans events out to several tracers.
-type MultiTracer []Tracer
-
-// Emit forwards the event to every tracer.
-func (m MultiTracer) Emit(e Event) {
-	for _, t := range m {
-		t.Emit(e)
-	}
-}
-
 // emit sends an event to the context's tracer, stamping the sequence
 // number. No-op without a tracer, so untraced runs pay one nil check.
 func (c *Context) emit(e Event) {

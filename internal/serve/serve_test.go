@@ -19,7 +19,7 @@ import (
 	"tps/internal/serve"
 
 	// Register the full transform set (qplace, legalize, sync, …).
-	_ "tps/internal/core"
+	_ "tps"
 )
 
 // stall is the test's long-running transform: it blocks at a safe

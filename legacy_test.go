@@ -1,7 +1,8 @@
-package core
+package tps
 
 // This file is the pre-scenario-engine flow code, kept verbatim (modulo
-// the exported Logf/Track renames) as the reference implementation for
+// the exported Logf/Track renames and the unused parameters since dropped
+// from DetailedPlace) as the reference implementation for
 // the golden equivalence tests: RunTPS/RunSPR through the scenario
 // engine must produce bit-identical Metrics and AnalyzerStats to these
 // hand-scheduled loops at every worker count.
@@ -18,11 +19,12 @@ import (
 	"tps/internal/quadratic"
 	"tps/internal/relocate"
 	"tps/internal/route"
+	"tps/internal/scenario"
 	"tps/internal/sizing"
 	"tps/internal/synth"
 )
 
-func runTPSLegacy(c *Context, opt TPSOptions) Metrics {
+func runTPSLegacy(c *scenario.Context, opt TPSOptions) Metrics {
 	start := time.Now()
 	if opt.Step <= 0 {
 		opt.Step = 5
@@ -153,7 +155,7 @@ func runTPSLegacy(c *Context, opt TPSOptions) Metrics {
 	place.Legalize(c.NL, c.ChipW, c.ChipH)
 	stop()
 	stop = c.Track("detailed")
-	place.DetailedPlace(c.NL, c.St, c.ChipW, c.ChipH, dopt)
+	place.DetailedPlace(c.NL, dopt)
 	stop()
 	syncImageLegacy(c)
 
@@ -176,7 +178,7 @@ func runTPSLegacy(c *Context, opt TPSOptions) Metrics {
 		place.Legalize(c.NL, c.ChipW, c.ChipH)
 		stop()
 		stop = c.Track("detailed")
-		place.DetailedPlace(c.NL, c.St, c.ChipW, c.ChipH, dopt)
+		place.DetailedPlace(c.NL, dopt)
 		stop()
 		sizing.InFootprintResize(c.NL, c.Eng, 0.08*c.Period, nil)
 		so.PinSwap(budget)
@@ -200,7 +202,7 @@ func runTPSLegacy(c *Context, opt TPSOptions) Metrics {
 	return m
 }
 
-func runSPRLegacy(c *Context, opt SPROptions) Metrics {
+func runSPRLegacy(c *scenario.Context, opt SPROptions) Metrics {
 	start := time.Now()
 	if opt.MaxIterations <= 0 {
 		opt.MaxIterations = 4
@@ -274,7 +276,7 @@ func runSPRLegacy(c *Context, opt SPROptions) Metrics {
 	dopt := place.DefaultDetailedOptions()
 	dopt.Workers = c.Workers
 	stop = c.Track("detailed")
-	place.DetailedPlace(c.NL, c.St, c.ChipW, c.ChipH, dopt)
+	place.DetailedPlace(c.NL, dopt)
 	stop()
 
 	m := c.Evaluate("SPR")
@@ -292,7 +294,7 @@ func runSPRLegacy(c *Context, opt SPROptions) Metrics {
 	return m
 }
 
-func syncImageLegacy(c *Context) {
+func syncImageLegacy(c *scenario.Context) {
 	t := c.NL.Lib.Tech
 	c.Im.ClearUsage()
 	c.NL.Gates(func(g *netlist.Gate) {

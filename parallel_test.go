@@ -1,4 +1,4 @@
-package core
+package tps
 
 import (
 	"testing"
@@ -6,6 +6,7 @@ import (
 	"tps/internal/congestion"
 	"tps/internal/place"
 	"tps/internal/route"
+	"tps/internal/scenario"
 )
 
 // runWithWorkers runs the full TPS scenario (routing included) on a fresh
@@ -13,12 +14,12 @@ import (
 func runWithWorkers(t *testing.T, workers int) (Metrics, AnalyzerStats) {
 	t.Helper()
 	d := smallDesign(7)
-	c := NewContext(d, 7)
+	c := scenario.NewContext(d, 7)
 	defer c.Close()
 	c.SetWorkers(workers)
 	opt := DefaultTPSOptions()
 	opt.TransformBudget = 16
-	m := RunTPS(c, opt)
+	m := runBuiltin(c, TPSScript(opt))
 	return m, c.AnalyzerStats()
 }
 
@@ -78,7 +79,7 @@ func TestWorkersBitIdentical(t *testing.T) {
 func transformTrace(t *testing.T, workers int) []float64 {
 	t.Helper()
 	d := smallDesign(9)
-	c := NewContext(d, 9)
+	c := scenario.NewContext(d, 9)
 	defer c.Close()
 	c.SetWorkers(workers)
 
@@ -101,7 +102,7 @@ func transformTrace(t *testing.T, workers int) []float64 {
 	place.Legalize(c.NL, c.ChipW, c.ChipH)
 	dopt := place.DefaultDetailedOptions()
 	dopt.Workers = c.Workers
-	place.DetailedPlace(c.NL, c.St, c.ChipW, c.ChipH, dopt)
+	place.DetailedPlace(c.NL, dopt)
 	probe()
 	return trace
 }
@@ -129,7 +130,7 @@ func TestTransformAnalyzerInterleaveDeterministic(t *testing.T) {
 // serial rather than wedging the pool.
 func TestSetWorkersClampsAndPropagates(t *testing.T) {
 	d := smallDesign(3)
-	c := NewContext(d, 3)
+	c := scenario.NewContext(d, 3)
 	defer c.Close()
 	if c.Workers < 1 || c.St.Workers != c.Workers || c.Eng.Workers != c.Workers {
 		t.Fatalf("NewContext workers out of sync: ctx=%d st=%d eng=%d",
@@ -152,13 +153,13 @@ func TestSetWorkersClampsAndPropagates(t *testing.T) {
 // must equal a direct AnalyzeN call at the same worker count.
 func TestEvaluateMatchesStandaloneAnalyzers(t *testing.T) {
 	d := smallDesign(4)
-	c := NewContext(d, 4)
+	c := scenario.NewContext(d, 4)
 	defer c.Close()
 	c.SetWorkers(4)
 	opt := DefaultTPSOptions()
 	opt.TransformBudget = 8
 	opt.SkipRouting = true
-	RunTPS(c, opt)
+	runBuiltin(c, TPSScript(opt))
 
 	m := c.Evaluate("probe")
 	rep := congestion.AnalyzeN(c.NL, c.St, c.Im, c.Workers)

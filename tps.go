@@ -26,8 +26,6 @@ import (
 	"tps/internal/autoflow"
 	"tps/internal/cell"
 	"tps/internal/clockscan"
-	"tps/internal/congestion"
-	"tps/internal/core"
 	"tps/internal/gen"
 	"tps/internal/netio"
 	"tps/internal/netlist"
@@ -38,6 +36,16 @@ import (
 	"tps/internal/route"
 	"tps/internal/scenario"
 	"tps/internal/timing"
+
+	// The transform packages register their scenario building blocks in
+	// init; importing them here makes every flow binary that links tps
+	// see the full registry. clockscan, place and route (above) and
+	// netweight (flows.go) are imported for their APIs.
+	_ "tps/internal/migrate"
+	_ "tps/internal/quadratic"
+	_ "tps/internal/relocate"
+	_ "tps/internal/sizing"
+	_ "tps/internal/synth"
 )
 
 // DesignParams configures the synthetic design generator (see
@@ -45,32 +53,17 @@ import (
 type DesignParams = gen.Params
 
 // Metrics is a flow result: the Table 1 columns plus auxiliary measures.
-type Metrics = core.Metrics
-
-// TPSOptions tunes the TPS scenario of Figure 5.
-type TPSOptions = core.TPSOptions
-
-// SPROptions tunes the baseline synthesize–place–resynthesize flow.
-type SPROptions = core.SPROptions
+type Metrics = scenario.Metrics
 
 // Histogram is a Figure 2 wire-load prediction-error histogram.
 type Histogram = route.Histogram
 
-// CongestionReport is the cut-line congestion summary.
-type CongestionReport = congestion.Report
-
 // AnalyzerStats carries the incremental analyzers' dirty-set counters and
 // the FM partitioner's gain-structure traffic.
-type AnalyzerStats = core.AnalyzerStats
+type AnalyzerStats = scenario.AnalyzerStats
 
 // Library is the standard-cell library type.
 type Library = cell.Library
-
-// DefaultTPSOptions mirrors the paper's scenario parameters.
-func DefaultTPSOptions() TPSOptions { return core.DefaultTPSOptions() }
-
-// DefaultSPROptions mirrors a conventional baseline flow.
-func DefaultSPROptions() SPROptions { return core.DefaultSPROptions() }
 
 // DefaultLibrary returns the built-in synthetic standard-cell library.
 func DefaultLibrary() *Library { return cell.Default() }
@@ -82,7 +75,7 @@ func Table1Params(i int, scale float64) DesignParams { return gen.Des(i, scale) 
 // CycleImprovementPct computes Table 1's "% cycle time impr." between an
 // SPR metrics record and a TPS one.
 func CycleImprovementPct(spr, tps Metrics) float64 {
-	return core.CycleImprovementPct(spr, tps)
+	return scenario.CycleImprovementPct(spr, tps)
 }
 
 // Scenario is a parsed scenario script: an ordered sequence of transform
@@ -112,24 +105,8 @@ func NewJSONLTracer(w io.Writer) Tracer { return scenario.NewJSONLTracer(w) }
 // transform registry, so a script that parses also runs.
 func ParseScenario(text string) (*Scenario, error) { return scenario.Parse(text) }
 
-// LoadScenario reads and parses a scenario script from r.
-func LoadScenario(r io.Reader) (*Scenario, error) {
-	b, err := io.ReadAll(r)
-	if err != nil {
-		return nil, err
-	}
-	return scenario.Parse(string(b))
-}
-
 // ListTransforms returns every registered transform, sorted by name.
 func ListTransforms() []*Transform { return scenario.List() }
-
-// TPSScript renders the built-in Figure 5 flow as a scenario script —
-// the exact text RunTPS executes.
-func TPSScript(opt TPSOptions) string { return core.TPSScript(opt) }
-
-// SPRScript renders the built-in baseline flow as a scenario script.
-func SPRScript(opt SPROptions) string { return core.SPRScript(opt) }
 
 // RaceSpec configures a portfolio race: N scenario entrants forked from
 // one design checkpoint, run concurrently, judged by a traced objective
@@ -157,12 +134,6 @@ const EvRaceVerdict = scenario.EvRaceVerdict
 // maps each entrant's flow=/script= reference to scenario text.
 func ParseRaceSpec(text string, resolve func(flow, script string) (string, error)) (*RaceSpec, error) {
 	return portfolio.ParseSpec(text, resolve)
-}
-
-// TPSEntrants builds a seed-varied family of TPS entrants — the
-// quickest useful portfolio: same script, seeds baseSeed…baseSeed+n−1.
-func TPSEntrants(n int, opt TPSOptions, baseSeed int64) []RaceEntrant {
-	return core.TPSEntrants(n, opt, baseSeed)
 }
 
 // AutotuneSpec configures an autoflow search: a base scenario script, an
@@ -204,14 +175,14 @@ func ParseAutotuneSpec(text string, resolve func(flow, script string) (string, e
 // stack. One Design owns its netlist; run exactly one flow per Design and
 // regenerate (same seed = same design) to run another.
 type Design struct {
-	ctx *core.Context
+	ctx *scenario.Context
 	gd  *gen.Design
 }
 
 // NewDesign generates a synthetic design and attaches the analyzers.
 func NewDesign(p DesignParams) *Design {
 	gd := gen.Generate(cell.Default(), p)
-	return &Design{ctx: core.NewContext(gd, p.Seed), gd: gd}
+	return &Design{ctx: scenario.NewContext(gd, p.Seed), gd: gd}
 }
 
 // Load reads a .tpn netlist and attaches the analyzers.
@@ -226,7 +197,7 @@ func Load(r io.Reader) (*Design, error) {
 	if gd.ChipW <= 0 || gd.ChipH <= 0 {
 		return nil, fmt.Errorf("tps: netlist has no chip dimensions")
 	}
-	return &Design{ctx: core.NewContext(gd, 1), gd: gd}, nil
+	return &Design{ctx: scenario.NewContext(gd, 1), gd: gd}, nil
 }
 
 // Save writes the design's current netlist and placement as .tpn.
@@ -253,27 +224,19 @@ func (d *Design) Period() float64 { return d.ctx.Period }
 func (d *Design) Chip() (w, h float64) { return d.ctx.ChipW, d.ctx.ChipH }
 
 // Context exposes the full analyzer bundle for advanced composition.
-func (d *Design) Context() *core.Context { return d.ctx }
+func (d *Design) Context() *scenario.Context { return d.ctx }
 
 // RunTPS executes the transformational placement and synthesis scenario
 // (Figure 5) from the bare netlist.
-func (d *Design) RunTPS(opt TPSOptions) Metrics { return core.RunTPS(d.ctx, opt) }
+func (d *Design) RunTPS(opt TPSOptions) Metrics { return runBuiltin(d.ctx, TPSScript(opt)) }
 
 // RunSPR executes the traditional baseline flow.
-func (d *Design) RunSPR(opt SPROptions) Metrics { return core.RunSPR(d.ctx, opt) }
+func (d *Design) RunSPR(opt SPROptions) Metrics { return runBuiltin(d.ctx, SPRScript(opt)) }
 
 // RunScenario executes a parsed scenario script through the engine. The
 // design's accept/reject counters for protected steps are afterwards
 // available via Context().Accepts / Context().Rejects.
 func (d *Design) RunScenario(s *Scenario) (Metrics, error) { return scenario.Run(d.ctx, s) }
-
-// RunScenarioContext is RunScenario under a cancellation context:
-// canceling ctx stops the flow at the next safe commit point, rolling
-// back any protected step in flight so the design stays consistent.
-// The returned error wraps ctx's error (test with errors.Is).
-func (d *Design) RunScenarioContext(ctx context.Context, s *Scenario) (Metrics, error) {
-	return scenario.RunContext(ctx, d.ctx, s)
-}
 
 // SetTrace attaches a structured trace-event consumer (nil detaches).
 // Applies to custom scenarios and the built-in flows alike.
@@ -312,17 +275,12 @@ func (d *Design) WorstSlack() float64 { return d.ctx.Eng.WorstSlack() }
 // since the previous call (delta evaluation).
 func (d *Design) WireLength() float64 { return d.ctx.St.Total() }
 
-// Congestion re-analyzes wiring demand through the design's stateful
-// congestion analyzer: only nets dirtied since the last analysis are
-// re-rasterized, and the report is bit-identical to a full pass.
-func (d *Design) Congestion() CongestionReport { return d.ctx.Cong.Analyze() }
-
 // Stats returns the incremental analyzers' dirty-set and pass counters
 // plus the placement partitioner's FM gain-structure counters.
 func (d *Design) Stats() AnalyzerStats { return d.ctx.AnalyzerStats() }
 
 // PhaseTimes returns the per-transform wall clock accumulated by the last
-// flow run (map key → duration; see core.Context.PhaseTimes).
+// flow run (map key → duration; see scenario.Context.PhaseTimes).
 func (d *Design) PhaseTimes() map[string]time.Duration { return d.ctx.PhaseTimes }
 
 // ClockWireLength returns the total clock-net wire length in µm.
