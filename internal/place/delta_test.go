@@ -2,6 +2,7 @@ package place
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"tps/internal/netlist"
@@ -110,5 +111,72 @@ func TestWindowScorerCacheStaysFresh(t *testing.T) {
 			}
 		}
 		verify("after swap")
+	}
+}
+
+// TestAffectedIsSortedUnion checks windowScorer.affected against its
+// definition over random windows and spans, on one scorer reused across
+// windows as DetailedPlace does: the result must be exactly the sorted,
+// deduplicated union of the window-net indices on the span gates' pins.
+func TestAffectedIsSortedUnion(t *testing.T) {
+	nl := deltaDesign(t, 9)
+	rows := map[float64][]*netlist.Gate{}
+	var ys []float64
+	nl.Gates(func(g *netlist.Gate) {
+		if g.Fixed || g.IsPad() {
+			return
+		}
+		if rows[g.Y] == nil {
+			ys = append(ys, g.Y)
+		}
+		rows[g.Y] = append(rows[g.Y], g)
+	})
+	slices.Sort(ys)
+	rng := rand.New(rand.NewSource(41))
+	opt := DefaultDetailedOptions()
+	var sc windowScorer
+	shared := 0
+	for trial := 0; trial < 300; trial++ {
+		row := rows[ys[rng.Intn(len(ys))]]
+		if len(row) < 2 {
+			continue
+		}
+		lo := rng.Intn(len(row) - 1)
+		win := row[lo : lo+2+rng.Intn(min(len(row)-lo-1, 11))]
+		sc.reset(win, opt)
+		for k := 0; k < 8; k++ {
+			// Contiguous spans (swaps) and arbitrary subsets (permutation
+			// groups) alike.
+			var span []*netlist.Gate
+			if k%2 == 0 {
+				i := rng.Intn(len(win))
+				span = win[i : i+1+rng.Intn(len(win)-i)]
+			} else {
+				for _, g := range win {
+					if rng.Intn(2) == 0 {
+						span = append(span, g)
+					}
+				}
+			}
+			var want []int32
+			for _, g := range span {
+				for _, p := range g.Pins {
+					if idx := slices.Index(sc.nets, p.Net); idx >= 0 {
+						want = append(want, int32(idx))
+					}
+				}
+			}
+			slices.Sort(want)
+			n := len(want)
+			if want = slices.Compact(want); len(want) < n {
+				shared++
+			}
+			if got := sc.affected(span); !slices.Equal(got, want) {
+				t.Fatalf("trial %d: affected = %v, want %v", trial, got, want)
+			}
+		}
+	}
+	if shared == 0 {
+		t.Fatal("no span had gates sharing a net; the dedup path went untested")
 	}
 }

@@ -399,21 +399,26 @@ func (s *windowScorer) netScore(idx int) float64 {
 }
 
 // affected returns the indices (ascending, deduplicated) of the window
-// nets touching any of the given gates. The returned slice is scratch,
-// valid until the next call.
+// nets touching any of the given gates. It stamps each net's mark, then
+// emits the stamped indices by scanning mark between the lowest and
+// highest one touched, so no comparison sort is needed. The returned
+// slice is scratch, valid until the next call.
 func (s *windowScorer) affected(gates []*netlist.Gate) []int32 {
 	s.epoch++
 	s.aff = s.aff[:0]
+	lo, hi := int32(len(s.mark)), int32(-1)
 	for _, g := range gates {
 		slot := s.gateSlot[g.ID]
 		for _, idx := range s.gateIdx[s.gateOff[slot]:s.gateOff[slot+1]] {
-			if s.mark[idx] != s.epoch {
-				s.mark[idx] = s.epoch
-				s.aff = append(s.aff, idx)
-			}
+			s.mark[idx] = s.epoch
+			lo, hi = min(lo, idx), max(hi, idx)
 		}
 	}
-	sort.Slice(s.aff, func(a, b int) bool { return s.aff[a] < s.aff[b] })
+	for idx := lo; idx <= hi; idx++ {
+		if s.mark[idx] == s.epoch {
+			s.aff = append(s.aff, idx)
+		}
+	}
 	return s.aff
 }
 

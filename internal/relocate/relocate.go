@@ -8,9 +8,10 @@
 package relocate
 
 import (
+	"cmp"
 	"container/heap"
 	"math"
-	"sort"
+	"slices"
 
 	"tps/internal/image"
 	"tps/internal/netlist"
@@ -292,11 +293,8 @@ func (r *Relocator) moveOneCell(fi, fj, ti, tj int) bool {
 	}
 	// Prefer small cells with healthy slack: they disturb timing least
 	// and exactly implement "move non-critical cells away" (§4.6).
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].Area(t) != cands[j].Area(t) {
-			return cands[i].Area(t) < cands[j].Area(t)
-		}
-		return cands[i].ID < cands[j].ID
+	slices.SortFunc(cands, func(a, b *netlist.Gate) int {
+		return cmp.Or(cmp.Compare(a.Area(t), b.Area(t)), cmp.Compare(a.ID, b.ID))
 	})
 	for k, g := range cands {
 		if r.Eng != nil && r.Eng.GateSlack(g) <= r.SlackMargin {

@@ -22,7 +22,7 @@ type Job struct {
 	ID         string
 	DesignName string
 	run        engine
-	gd         *gen.Design   // inline submission: private design
+	gd         *gen.Design   // inline submission: private design, taken by runJob
 	sd         *storedDesign // stored-design submission
 	want       int           // requested fan-out width
 
@@ -94,6 +94,10 @@ func (j *Job) requestCancel() {
 // grant, design acquisition, the engine run, and the terminal flow_end
 // trace record. Called from a worker goroutine.
 func (s *Server) runJob(j *Job) {
+	// An inline design belongs to this one run: drop the job's reference
+	// so a finished job does not keep its netlist alive.
+	gd := j.gd
+	j.gd = nil
 	j.mu.Lock()
 	if j.cancelReq {
 		j.state = JobCanceled
@@ -118,7 +122,6 @@ func (s *Server) runJob(j *Job) {
 
 	// A stored design stays locked until the job is terminal; a race or
 	// search only reads it through its snapshot.
-	gd := j.gd
 	if j.sd != nil {
 		var release func()
 		var err error

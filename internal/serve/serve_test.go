@@ -230,8 +230,10 @@ func TestJobLifecycle(t *testing.T) {
 }
 
 // An inline .tpn submission runs without a prior upload.
+// An inline design belongs to its one run: a finished job keeps its
+// Metrics but no longer references the parsed netlist.
 func TestInlineNetlistSubmit(t *testing.T) {
-	_, hs := newServer(t, serve.Config{})
+	s, hs := newServer(t, serve.Config{})
 	code, sub := submit(t, hs.URL, serve.SubmitRequest{Netlist: tpnText(t, 8), Scenario: quickScript})
 	if code.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit: %s", code.Status)
@@ -239,6 +241,12 @@ func TestInlineNetlistSubmit(t *testing.T) {
 	info := waitState(t, hs.URL, sub.JobID, serve.JobDone)
 	if info.Metrics == nil {
 		t.Fatalf("no metrics: %+v", info)
+	}
+	if s.JobHoldsDesign(sub.JobID) {
+		t.Errorf("done inline job %s still references its design", sub.JobID)
+	}
+	if again := getJob(t, hs.URL, sub.JobID); again.Metrics == nil || *again.Metrics != *info.Metrics {
+		t.Errorf("GET after release: metrics %+v, want %+v", again.Metrics, info.Metrics)
 	}
 }
 

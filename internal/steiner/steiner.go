@@ -48,10 +48,10 @@ func HPWL(pts []Point) float64 {
 	minX, maxX := pts[0].X, pts[0].X
 	minY, maxY := pts[0].Y, pts[0].Y
 	for _, p := range pts[1:] {
-		minX = math.Min(minX, p.X)
-		maxX = math.Max(maxX, p.X)
-		minY = math.Min(minY, p.Y)
-		maxY = math.Max(maxY, p.Y)
+		minX = min(minX, p.X)
+		maxX = max(maxX, p.X)
+		minY = min(minY, p.Y)
+		maxY = max(maxY, p.Y)
 	}
 	return (maxX - minX) + (maxY - minY)
 }

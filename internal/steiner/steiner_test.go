@@ -62,6 +62,36 @@ func TestHPWL(t *testing.T) {
 	if HPWL(pts[:1]) != 0 {
 		t.Errorf("HPWL of one point must be 0")
 	}
+
+	// Signed zeros and infinities in every position must give the same
+	// bits as a math.Min/math.Max bounding box. The builtins differ from
+	// math.Min/Max in one case: they propagate NaN even next to an
+	// opposite infinity, where math.Min(NaN, -Inf) is -Inf. So any NaN
+	// coordinate must give a NaN length.
+	ref := func(pts []Point) float64 {
+		minX, maxX, minY, maxY := pts[0].X, pts[0].X, pts[0].Y, pts[0].Y
+		for _, p := range pts[1:] {
+			minX, maxX = math.Min(minX, p.X), math.Max(maxX, p.X)
+			minY, maxY = math.Min(minY, p.Y), math.Max(maxY, p.Y)
+		}
+		return (maxX - minX) + (maxY - minY)
+	}
+	vals := []float64{0, math.Copysign(0, -1), 1, -2.5, math.Inf(1), math.Inf(-1), math.NaN()}
+	for _, a := range vals {
+		for _, b := range vals {
+			for _, c := range vals {
+				for _, pts := range [][]Point{{{a, b}, {b, c}}, {{a, c}, {b, a}, {c, b}}} {
+					got, want := HPWL(pts), ref(pts)
+					if math.IsNaN(a) || math.IsNaN(b) || math.IsNaN(c) {
+						want = math.NaN()
+					}
+					if math.Float64bits(got) != math.Float64bits(want) && !(math.IsNaN(got) && math.IsNaN(want)) {
+						t.Errorf("HPWL(%v) = %v, want %v", pts, got, want)
+					}
+				}
+			}
+		}
+	}
 }
 
 // Property: HPWL ≤ RSMT ≤ RMST for any point set, and the tree spans all

@@ -181,7 +181,7 @@ func (e *Engine) relevel() {
 	e.pinOf = growPins(e.pinOf, np)
 
 	for i := range e.flags {
-		e.flags[i] = 0
+		e.flags[i] &= flagOnCycle // kept until the Kahn pass re-derives it
 		e.level[i] = 0
 		e.outPin[i] = 0
 		e.pinOf[i] = nil
@@ -249,12 +249,20 @@ func (e *Engine) relevel() {
 	}
 
 	e.queueScratch = queue[:0]
+	// A pin that joins or leaves a cycle switches between its frozen
+	// constant and its computed value, so it is re-marked even when no
+	// edit touched it.
 	e.HasCycles = false
 	for id := range indeg {
-		if indeg[id] > 0 {
-			e.flags[id] |= flagOnCycle
-			e.HasCycles = true
+		on := indeg[id] > 0
+		if on != (e.flags[id]&flagOnCycle != 0) {
+			e.flags[id] ^= flagOnCycle
+			if !firstBuild && e.pinOf[id] != nil {
+				e.markArr(id)
+				e.markReq(id)
+			}
 		}
+		e.HasCycles = e.HasCycles || on
 	}
 
 	e.levelsValid = true
@@ -675,18 +683,20 @@ func (e *Engine) flushAll() {
 	}
 }
 
-// flushArr drains the pending arrival set in (level, ID) order through a
+// flushArr drains the pending arrival set level by level through a
 // monotone bucket queue: one ascending sweep over the per-level worklists,
-// each bucket ID-sorted when the sweep reaches it. Under a valid
-// stratification every propagation pushes strictly upward, so the visit
-// order is exactly the (level, ID)-sorted order a priority queue would
-// produce — at O(1) per push instead of O(log n) level-array comparisons,
-// which dominated the incremental-flush profile at bulk design sizes.
+// each bucket drained in push order. Under a valid stratification every
+// propagation pushes strictly upward, at O(1) per push. The order inside a
+// bucket is free: arrOf at level l reads only strictly lower levels, which
+// are final by then, so neither the values nor the set of pins pushed into
+// later buckets depend on it, and the pend flags admit each pin once, so
+// Recomputes does not either.
 // Cyclic graphs are the one exception (frozen pins keep whatever level the
 // aborted Kahn pass left, so a push can land at or below the sweep
 // cursor); the sweep then rewinds to the pushed level — already-drained
-// entries are skipped by the pend flags — preserving correctness at
-// priority-queue-grade cost.
+// entries are skipped by the pend flags. Frozen pins read nothing, so the
+// values stay order-free there too; only how often a frozen pin is
+// re-evaluated to its constant can follow the bucket order.
 func (e *Engine) flushArr() {
 	lo := int32(math.MaxInt32)
 	for _, id := range e.pendArr {
@@ -722,7 +732,6 @@ func (e *Engine) flushArr() {
 		if len(b) == 0 {
 			continue
 		}
-		sort.Ints(b)
 		for _, id := range b {
 			if !e.inPendArr[id] {
 				continue
@@ -770,6 +779,11 @@ func (e *Engine) flushArr() {
 	}
 }
 
+// flushReq is the mirror of flushArr with the sweep descending: required
+// times propagate to strictly lower levels, so the bucket queue is
+// monotone downward and the rewind guard fires on upward pushes instead.
+// reqOf at level l reads only strictly higher levels, so each bucket is
+// likewise drained in push order, by the same exactness argument.
 func (e *Engine) flushReq() {
 	hi := int32(-1)
 	for _, id := range e.pendReq {
@@ -784,9 +798,6 @@ func (e *Engine) flushReq() {
 		}
 	}
 	e.pendReq = e.pendReq[:0]
-	// Mirror of flushArr with the sweep descending: required times
-	// propagate to strictly lower levels, so the bucket queue is monotone
-	// downward and the rewind guard fires on upward pushes instead.
 	cur := int32(0)
 	rewind := int32(-1)
 	push := func(qid int) {
@@ -805,7 +816,6 @@ func (e *Engine) flushReq() {
 		if len(b) == 0 {
 			continue
 		}
-		sort.Ints(b)
 		for _, id := range b {
 			if !e.inPendReq[id] {
 				continue
@@ -813,12 +823,16 @@ func (e *Engine) flushReq() {
 			e.inPendReq[id] = false
 			p := e.pinOf[id]
 			v := e.evalReq(p)
-			if math.Abs(v-e.req[id]) <= eps && !(math.IsInf(v, 1) && math.IsInf(e.req[id], 1)) {
+			fl := e.flags[id]
+			// +Inf − +Inf is NaN, so the eps test reads an unchanged +Inf
+			// as a change. A frozen pin is always +Inf: without the
+			// equality check, two frozen pins on one cycle re-push each
+			// other forever.
+			if math.Abs(v-e.req[id]) <= eps || fl&flagOnCycle != 0 && v == e.req[id] {
 				continue
 			}
 			e.req[id] = v
 			// forEachPred, inlined (see flushArr).
-			fl := e.flags[id]
 			if fl&flagClockPin != 0 {
 				continue
 			}
