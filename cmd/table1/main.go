@@ -37,7 +37,7 @@ func main() {
 			d := tps.NewDesign(p)
 			defer d.Close()
 			if *verbose {
-				d.SetLog(os.Stderr)
+				d.SetTrace(tps.NewTextTracer(os.Stderr))
 			}
 			if flow == "SPR" {
 				return d.RunSPR(tps.DefaultSPROptions())

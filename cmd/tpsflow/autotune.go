@@ -3,7 +3,6 @@ package main
 import (
 	"context"
 	"fmt"
-	"os"
 
 	"tps"
 	"tps/internal/serve"
@@ -22,11 +21,8 @@ func runAutotune(makeDesign func() (*tps.Design, error), spec *tps.AutotuneSpec,
 	fmt.Printf("AUTOTUNE search=%s objective=%s population=%d offspring=%d generations=%d\n",
 		spec.Name, orDefault(spec.Objective, "slack"), spec.Population, spec.Offspring, spec.Generations)
 
-	if verbose {
-		spec.Log = os.Stderr
-	}
 	var res *tps.AutotuneResult
-	err = traced(traceFile, func(t tps.Tracer) { spec.Trace = t }, func() (err error) {
+	err = traced(traceFile, verbose, func(t tps.Tracer) { spec.Trace = t }, func() (err error) {
 		res, err = d.Autotune(context.Background(), *spec)
 		return err
 	})

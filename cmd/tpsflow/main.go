@@ -62,7 +62,7 @@ func run(args []string) error {
 	traceFile := fs.String("trace", "", "write the engine's structured trace as JSONL to this file")
 	listTransforms := fs.Bool("list-transforms", false, "list the registered transforms and exit")
 	submit := fs.String("submit", "", "submit to a tpsd server at this base URL instead of running locally")
-	verbose := fs.Bool("v", false, "print flow progress")
+	verbose := fs.Bool("v", false, "print flow progress (one line per step) to stderr")
 	_ = fs.Parse(args) // ExitOnError: a bad flag exits inside Parse
 
 	if *listTransforms {
@@ -145,9 +145,6 @@ func run(args []string) error {
 		return err
 	}
 	defer d.Close()
-	if *verbose {
-		d.SetLog(os.Stderr)
-	}
 	if *workers > 0 {
 		d.SetWorkers(*workers)
 	}
@@ -166,7 +163,7 @@ func run(args []string) error {
 	}
 
 	var m tps.Metrics
-	err = traced(*traceFile, d.SetTrace, func() (err error) {
+	err = traced(*traceFile, *verbose, d.SetTrace, func() (err error) {
 		m, err = runScript(d, script)
 		return err
 	})
@@ -322,29 +319,49 @@ func runScript(d *tps.Design, script string) (tps.Metrics, error) {
 	return d.RunScenario(s)
 }
 
-// traced runs body with the -trace file attached when path is set, then
-// appends the tool-level terminal flow_end record, carrying body's error,
-// so every trace file tpsflow writes closes the same way whatever ran.
-func traced(path string, attach func(tps.Tracer), body func() error) error {
-	if path == "" {
+// traced runs body with the -v progress lines and the -trace file
+// attached as asked, then appends the tool-level terminal flow_end
+// record, carrying body's error, so every trace file tpsflow writes
+// closes the same way whatever ran.
+func traced(path string, verbose bool, attach func(tps.Tracer), body func() error) error {
+	var sinks fanout
+	if verbose {
+		sinks = append(sinks, tps.NewTextTracer(os.Stderr))
+	}
+	var f *os.File
+	if path != "" {
+		var err error
+		if f, err = os.Create(path); err != nil {
+			return err
+		}
+		sinks = append(sinks, tps.NewJSONLTracer(f))
+	}
+	if len(sinks) == 0 {
 		return body()
 	}
-	f, err := os.Create(path)
-	if err != nil {
+	attach(sinks)
+	err := body()
+	if f == nil {
 		return err
 	}
-	tr := tps.NewJSONLTracer(f)
-	attach(tr)
-	err = body()
 	end := tps.TraceEvent{Type: tps.EvFlowEnd}
 	if err != nil {
 		end.Err = err.Error()
 	}
-	tr.Emit(end)
+	sinks.Emit(end)
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
 	return err
+}
+
+// fanout feeds every event to each of its tracers in turn.
+type fanout []tps.Tracer
+
+func (f fanout) Emit(e tps.TraceEvent) {
+	for _, t := range f {
+		t.Emit(e)
+	}
 }
 
 // writeWinner writes a race or search winner's design to the -out file.

@@ -3,7 +3,6 @@ package main
 import (
 	"context"
 	"fmt"
-	"os"
 	"strings"
 
 	"tps"
@@ -22,13 +21,8 @@ func runPortfolio(makeDesign func() (*tps.Design, error), spec *tps.RaceSpec, tr
 	fmt.Printf("RACE portfolio=%s objective=%s entrants=%d\n",
 		spec.Name, orDefault(spec.Objective, "slack"), len(spec.Entrants))
 
-	if verbose {
-		// Context.Logf emits whole lines in single Write calls, so the
-		// shared stderr interleaves cleanly across entrants.
-		spec.Log = os.Stderr
-	}
 	var res *tps.RaceResult
-	err = traced(traceFile, func(t tps.Tracer) { spec.Trace = t }, func() (err error) {
+	err = traced(traceFile, verbose, func(t tps.Tracer) { spec.Trace = t }, func() (err error) {
 		res, err = d.Race(context.Background(), *spec)
 		return err
 	})

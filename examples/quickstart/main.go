@@ -23,7 +23,7 @@ func main() {
 	fmt.Printf("design %q: %d gates, %d nets, die %.0f×%.0f µm, clock target %.0f ps\n",
 		d.Netlist().Name, d.Netlist().NumGates(), d.Netlist().NumNets(), w, h, d.Period())
 
-	d.SetLog(os.Stdout)
+	d.SetTrace(tps.NewTextTracer(os.Stdout))
 	m := d.RunTPS(tps.DefaultTPSOptions())
 
 	fmt.Println()

@@ -31,7 +31,6 @@ func main() {
 		Name: "cong1", NumGates: 1500, Levels: 10, Seed: 7,
 	})
 	defer d.Close()
-	d.SetLog(os.Stdout)
 
 	tf, err := os.Create("trace.jsonl")
 	if err != nil {
@@ -39,7 +38,8 @@ func main() {
 		os.Exit(1)
 	}
 	defer tf.Close()
-	d.SetTrace(tps.NewJSONLTracer(tf))
+	// Progress lines on stdout and the JSONL trace from the same events.
+	d.SetTrace(fanout{tps.NewTextTracer(os.Stdout), tps.NewJSONLTracer(tf)})
 
 	m, err := d.RunScenario(s)
 	if err != nil {
@@ -62,5 +62,14 @@ func main() {
 	if err := d.CheckLegal(); err != nil {
 		fmt.Fprintln(os.Stderr, "placement not legal:", err)
 		os.Exit(1)
+	}
+}
+
+// fanout feeds every event to each of its tracers in turn.
+type fanout []tps.Tracer
+
+func (f fanout) Emit(e tps.TraceEvent) {
+	for _, t := range f {
+		t.Emit(e)
 	}
 }

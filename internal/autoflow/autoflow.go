@@ -26,7 +26,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"sort"
 	"time"
@@ -107,9 +106,6 @@ type Spec struct {
 	// gen_summary per generation, and one terminal autotune_verdict.
 	// Must be safe for concurrent use.
 	Trace scenario.Tracer
-	// Log, if set, receives variant flow logs. Must serialize whole
-	// writes (scenario.LockedWriter). Nil silences them.
-	Log io.Writer
 
 	// permuteSalt deterministically shuffles each generation's race
 	// entrant order when nonzero. Test hook: the determinism suite uses
@@ -231,7 +227,7 @@ func newSearch(forker *netio.Forker, spec *Spec) (*search, error) {
 	if spec.Generations <= 0 {
 		spec.Generations = 4
 	}
-	obj, _ := portfolio.Objective(spec.Objective)
+	obj, _ := scenario.Objective(spec.Objective)
 	baseScript, _ := scenario.Parse(spec.Script)
 	s := &search{
 		spec:   spec,
@@ -256,7 +252,7 @@ func (spec *Spec) Validate() error {
 		return fmt.Errorf("autoflow: offspring %d exceeds the race limit of %d entrants",
 			spec.Offspring, portfolio.MaxEntrants-1)
 	}
-	if _, err := portfolio.Objective(spec.Objective); err != nil {
+	if _, err := scenario.Objective(spec.Objective); err != nil {
 		return fmt.Errorf("autoflow: %w", err)
 	}
 	if spec.Script == "" {
@@ -417,9 +413,6 @@ func (s *search) run(ctx context.Context) (*Result, error) {
 			Type: scenario.EvGenSummary, Scenario: s.spec.Name, Gen: g,
 			Changed: gs.Evaluated, Winner: gs.Best, Objective: objPtr(pool[0]),
 		})
-		s.logf("autoflow %s gen %d: evaluated %d, best %s obj=%g%s",
-			s.spec.Name, g, gs.Evaluated, gs.Best, gs.BestObjective,
-			map[bool]string{true: " (restart)", false: ""}[gs.Restart])
 
 		// Drop design texts we can no longer need: only survivors and the
 		// global best can still become the final answer.
@@ -504,7 +497,6 @@ func (s *search) evaluate(ctx context.Context, g int, toEval []*variant) error {
 		// dominance cancellation would starve the gene pool.
 		NoEarlyStop: true,
 		Trace:       tr,
-		Log:         s.spec.Log,
 	})
 	if err != nil && !errors.Is(err, portfolio.ErrNoWinner) {
 		if res == nil {
@@ -547,13 +539,6 @@ func (s *search) emit(e scenario.Event) {
 	s.seq++
 	e.Seq = s.seq
 	s.spec.Trace.Emit(e)
-}
-
-func (s *search) logf(format string, args ...any) {
-	if s.spec.Log == nil {
-		return
-	}
-	fmt.Fprintf(s.spec.Log, format+"\n", args...)
 }
 
 func objPtr(v *variant) *float64 {

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"time"
 
-	"tps/internal/portfolio"
 	"tps/internal/scenario"
 )
 
@@ -72,7 +71,7 @@ func ParseSpec(text string, resolve func(flow, script string) (string, error)) (
 			if len(f) != 2 {
 				return nil, specErr(lineNo, "objective needs a value")
 			}
-			if _, err := portfolio.Objective(f[1]); err != nil {
+			if _, err := scenario.Objective(f[1]); err != nil {
 				return nil, specErr(lineNo, err.Error())
 			}
 			spec.Objective = f[1]

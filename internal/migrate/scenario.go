@@ -22,10 +22,7 @@ func init() {
 		Name: "migrate", Doc: "migrate logic across latch boundaries toward slack",
 		Window: "30..50",
 		Run: func(c *scenario.Context, a scenario.Args) (scenario.Report, error) {
-			stop := c.Track("synthesis")
 			n := forScenario(c).Run()
-			stop()
-			c.Logf("status %3d: migration %d", c.Status, n)
 			return scenario.Report{Changed: n}, c.Interrupted()
 		},
 	})

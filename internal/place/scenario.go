@@ -14,21 +14,6 @@ func forScenario(c *scenario.Context) *Placer {
 	})
 }
 
-// PublishFMStats copies p's accumulated FM gain-structure counters into
-// the context's analyzer-stats block. The scenario transform calls it
-// after every partition advance; hand-scheduled flows (the golden-test
-// references) must call it at the same points to stay stat-identical.
-func PublishFMStats(c *scenario.Context, p *Placer) {
-	st := p.FMStats()
-	c.FM = scenario.FMStats{
-		Pushes:      st.Pushes,
-		Pops:        st.Pops,
-		StalePops:   st.StalePops,
-		GainUpdates: st.GainUpdates,
-		Compactions: st.Compactions,
-	}
-}
-
 func init() {
 	scenario.Register(scenario.Transform{
 		Name: "partition", Doc: "refine the placement partition to the current status (reflow=0 to skip reflow)",
@@ -44,15 +29,13 @@ func init() {
 		},
 		Run: func(c *scenario.Context, a scenario.Args) (scenario.Report, error) {
 			p := forScenario(c)
-			stop := c.Track("partition")
 			p.Partition(c.Status)
-			stop()
 			if a.Bool("reflow", true) {
-				stop = c.Track("reflow")
 				p.Reflow()
-				stop()
 			}
-			PublishFMStats(c, p)
+			// Hand-scheduled flows (the golden-test references) must copy
+			// the counters at the same points to stay stat-identical.
+			c.FM = p.FMStats()
 			return scenario.Report{Changed: 1}, nil
 		},
 	})
@@ -76,9 +59,7 @@ func init() {
 		Name: "legalize", Doc: "snap gates to rows without overlap",
 		Window: "final",
 		Run: func(c *scenario.Context, a scenario.Args) (scenario.Report, error) {
-			stop := c.Track("legalize")
 			Legalize(c.NL, c.ChipW, c.ChipH)
-			stop()
 			return scenario.Report{Changed: 1}, nil
 		},
 	})
@@ -88,9 +69,7 @@ func init() {
 		Run: func(c *scenario.Context, a scenario.Args) (scenario.Report, error) {
 			dopt := DefaultDetailedOptions()
 			dopt.Workers = c.Workers
-			stop := c.Track("detailed")
 			DetailedPlace(c.NL, dopt)
-			stop()
 			return scenario.Report{Changed: 1}, nil
 		},
 	})

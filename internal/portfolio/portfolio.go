@@ -37,7 +37,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"sync"
 	"time"
 
@@ -93,9 +92,6 @@ type Spec struct {
 	// race_verdict record. Must be safe for concurrent use
 	// (JSONLTracer and the serve hub are).
 	Trace scenario.Tracer
-	// Log, if set, receives entrant flow logs. Must serialize whole
-	// writes (see scenario.LockedWriter). Nil silences entrant logs.
-	Log io.Writer
 }
 
 // Verdict statuses.
@@ -190,7 +186,7 @@ func RaceForker(ctx context.Context, forker *netio.Forker, spec Spec) (*Result, 
 		return nil, err
 	}
 	n := len(spec.Entrants)
-	obj, _ := Objective(spec.Objective)
+	obj, _ := scenario.Objective(spec.Objective)
 
 	raceCtx := ctx
 	if spec.Deadline > 0 {
@@ -268,7 +264,7 @@ func (spec *Spec) Validate() error {
 	if n > MaxEntrants {
 		return fmt.Errorf("portfolio: %d entrants exceeds the limit of %d", n, MaxEntrants)
 	}
-	if _, err := Objective(spec.Objective); err != nil {
+	if _, err := scenario.Objective(spec.Objective); err != nil {
 		return fmt.Errorf("portfolio: %w", err)
 	}
 	seen := make(map[string]int, n)
@@ -290,19 +286,6 @@ func (spec *Spec) Validate() error {
 		}
 	}
 	return nil
-}
-
-// Objective resolves an objective name to its key: "" selects "slack";
-// "slack", "tns" and "wire" are themselves; anything else is an error.
-// Races, autoflow searches and their spec parsers all judge by it.
-func Objective(name string) (string, error) {
-	switch name {
-	case "":
-		return "slack", nil
-	case "slack", "tns", "wire":
-		return name, nil
-	}
-	return "", fmt.Errorf("unknown objective %q (want slack, tns, or wire)", name)
 }
 
 // race is one Race invocation's shared state. mu guards verdicts,
@@ -388,9 +371,6 @@ func (r *race) exec(ctx context.Context, e *Entrant, v *Verdict, tr *entrantTrac
 		ew = 1
 	}
 	c.SetWorkers(ew)
-	if r.spec.Log != nil {
-		c.Log = r.spec.Log
-	}
 	if len(e.Params) > 0 {
 		c.Params = make(map[string]string, len(e.Params))
 		for k, val := range e.Params {
@@ -407,7 +387,7 @@ func (r *race) exec(ctx context.Context, e *Entrant, v *Verdict, tr *entrantTrac
 	}
 	v.Metrics = &m
 	v.Stats = c.AnalyzerStats()
-	v.Objective = objectiveOf(r.obj, &m)
+	v.Objective = m.Objective(r.obj)
 	var buf bytes.Buffer
 	if err := netio.Write(&buf, gd); err != nil {
 		return "", fmt.Errorf("capture winner candidate: %w", err)
@@ -480,19 +460,6 @@ func (r *race) wasSkipped(i int) bool {
 // canceled verdicts. Anything else is the entrant's own failure.
 func interruptedErr(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
-}
-
-// objectiveOf maps final metrics to the race objective, mirroring the
-// scenario engine's protected-step objective (larger is better).
-func objectiveOf(obj string, m *scenario.Metrics) float64 {
-	switch obj {
-	case "tns":
-		return m.TNS
-	case "wire":
-		return -m.SteinerWireUm
-	default:
-		return m.WorstSlack
-	}
 }
 
 func entrantName(e *Entrant, i int) string {

@@ -5,6 +5,8 @@ import (
 	"strconv"
 	"strings"
 	"time"
+
+	"tps/internal/scenario"
 )
 
 // ParseSpec parses the portfolio race spec format — line-oriented and
@@ -51,7 +53,7 @@ func ParseSpec(text string, resolve func(flow, script string) (string, error)) (
 			if len(f) != 2 {
 				return nil, fmt.Errorf("portfolio spec: line %d: objective needs a value", lineNo)
 			}
-			if _, err := Objective(f[1]); err != nil {
+			if _, err := scenario.Objective(f[1]); err != nil {
 				return nil, fmt.Errorf("portfolio spec: line %d: %w", lineNo, err)
 			}
 			spec.Objective = f[1]

@@ -12,9 +12,7 @@ func init() {
 			opt := DefaultOptions()
 			opt.Seed = c.Seed
 			opt.Workers = c.Workers
-			stop := c.Track("quadratic")
 			Place(c.NL, c.ChipW, c.ChipH, opt)
-			stop()
 			return scenario.Report{Changed: 1}, nil
 		},
 	})

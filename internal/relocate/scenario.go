@@ -23,9 +23,7 @@ func init() {
 			{Key: "frac", Kind: scenario.ParamFloat, Lo: 0.1, Hi: 0.5},
 		},
 		Run: func(c *scenario.Context, a scenario.Args) (scenario.Report, error) {
-			stop := c.Track("synthesis")
 			n := ForScenario(c).RelieveAll(a.Float("frac", 0.25))
-			stop()
 			return scenario.Report{Changed: n}, nil
 		},
 	})
@@ -37,7 +35,6 @@ func init() {
 		},
 		Run: func(c *scenario.Context, a scenario.Args) (scenario.Report, error) {
 			n := RelieveCongestion(c.NL, c.St, c.Im, ForScenario(c), c.Eng, a.Int("moves", 32), c.Interrupted)
-			c.Logf("status %3d: congestion relocation moved %d", c.Status, n)
 			return scenario.Report{Changed: n}, c.Interrupted()
 		},
 	})

@@ -11,9 +11,7 @@ func init() {
 		Name: "route", Doc: "global-route every net; records routed wire and overflows in the metrics",
 		Window: "final",
 		Run: func(c *scenario.Context, a scenario.Args) (scenario.Report, error) {
-			stop := c.Track("route")
 			res := RouteAllN(c.NL, c.St, c.Im, c.Workers)
-			stop()
 			if c.M == nil {
 				c.M = &scenario.Metrics{Flow: c.ScenarioName, Iterations: 1}
 			}

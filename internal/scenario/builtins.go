@@ -80,11 +80,7 @@ func init() {
 		Window: "every step",
 		Run: func(c *Context, a Args) (Report, error) {
 			dirty := c.Cong.DirtyNets()
-			stop := c.track("congestion")
 			rep := c.Cong.Analyze()
-			stop()
-			c.Logf("status %3d: congestion Horiz %.0f/%.0f Vert %.0f/%.0f (%d dirty nets)",
-				c.Status, rep.HorizPeak, rep.HorizAvg, rep.VertPeak, rep.VertAvg, dirty)
 			return Report{Changed: dirty,
 				Detail: fmt.Sprintf("H %.0f/%.0f V %.0f/%.0f", rep.HorizPeak, rep.HorizAvg, rep.VertPeak, rep.VertAvg)}, nil
 		},
@@ -116,10 +112,8 @@ func init() {
 		Window: "any",
 		Run: func(c *Context, a Args) (Report, error) {
 			// Read unconditionally: flows use this step to pin down exactly
-			// where the timing engine flushes, log sink or not.
-			ws := c.Eng.WorstSlack()
-			c.Logf("%s: slack %.0f", a.Str("label", "checkpoint"), ws)
-			return Report{Detail: fmt.Sprintf("%.0f", ws)}, nil
+			// where the timing engine flushes, traced or not.
+			return Report{Detail: fmt.Sprintf("%.0f", c.Eng.WorstSlack())}, nil
 		},
 	})
 	Register(Transform{

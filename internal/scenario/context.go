@@ -17,8 +17,6 @@ package scenario
 import (
 	"context"
 	"errors"
-	"fmt"
-	"io"
 	"time"
 
 	"tps/internal/congestion"
@@ -27,6 +25,7 @@ import (
 	"tps/internal/image"
 	"tps/internal/netlist"
 	"tps/internal/par"
+	"tps/internal/partition"
 	"tps/internal/steiner"
 	"tps/internal/timing"
 )
@@ -58,12 +57,10 @@ type Context struct {
 	// in sync.
 	Workers int
 
-	// Log receives progress lines when non-nil.
-	Log io.Writer
-
-	// PhaseTimes accumulates per-transform wall clock across a flow run.
-	// Purely observational: it never influences any decision, so
-	// determinism is untouched.
+	// PhaseTimes accumulates each step's wall clock, keyed by transform
+	// name, across flow runs. The engine adds every executed step's
+	// duration, rejected ones included. Purely observational: it never
+	// influences any decision, so determinism is untouched.
 	PhaseTimes map[string]time.Duration
 
 	// ---- Interpreter state (valid while Run executes a scenario). ----
@@ -98,7 +95,7 @@ type Context struct {
 	// the placement transforms after each partition/reflow. The counters
 	// are deterministic and worker-invariant, so they participate in the
 	// AnalyzerStats bit-identity contract.
-	FM FMStats
+	FM partition.Stats
 
 	// Accepts and Rejects count protected-step outcomes for the run.
 	Accepts, Rejects int
@@ -141,20 +138,6 @@ func (c *Context) Interrupted() error {
 	}
 	return nil
 }
-
-// track starts a named phase timer; the returned func stops it and adds
-// the elapsed time to PhaseTimes[name].
-func (c *Context) track(name string) func() {
-	if c.PhaseTimes == nil {
-		c.PhaseTimes = make(map[string]time.Duration)
-	}
-	t0 := time.Now()
-	return func() { c.PhaseTimes[name] += time.Since(t0) }
-}
-
-// Track exposes phase timing to transform bodies registered outside this
-// package (the placer's shim splits partition/reflow time, for example).
-func (c *Context) Track(name string) func() { return c.track(name) }
 
 // NewContext builds the analyzer stack over a generated design, starting
 // in gain-based timing mode (the early-flow model of §5).
@@ -225,18 +208,7 @@ type AnalyzerStats struct {
 	// FM carries the placement partitioner's gain-structure traffic (PR
 	// 9's bucketed FM engine): pushes/pops through the bucket queue, stale
 	// pops discarded, neighbor gain updates, and live-entry compactions.
-	FM FMStats
-}
-
-// FMStats mirrors partition.Stats without importing it (scenario stays
-// free of transform-package dependencies). All counters are deterministic
-// functions of the design and flow, identical at any worker count.
-type FMStats struct {
-	Pushes      uint64
-	Pops        uint64
-	StalePops   uint64
-	GainUpdates uint64
-	Compactions uint64
+	FM partition.Stats
 }
 
 // AnalyzerStats returns the current incremental-analyzer counters.
@@ -249,21 +221,6 @@ func (c *Context) AnalyzerStats() AnalyzerStats {
 		CongestionIncrementalPasses: c.Cong.IncrementalPasses,
 		TimingRecomputes:            c.Eng.Recomputes,
 		FM:                          c.FM,
-	}
-}
-
-// Logf writes a progress line when a log sink is attached. Exported for
-// transform shims; never read any analyzer inside the argument list of a
-// call that legacy flows didn't, or counter parity breaks.
-//
-// Each line is formatted into a buffer first and handed to the sink as a
-// single Write, so concurrent flows whose contexts share one sink (wrap
-// it in NewLockedWriter) interleave at whole-line granularity instead of
-// corrupting each other's output mid-line. The preferred arrangement is
-// still per-job writer ownership: one Context, one sink.
-func (c *Context) Logf(format string, args ...interface{}) {
-	if c.Log != nil {
-		c.Log.Write(fmt.Appendf(nil, format+"\n", args...))
 	}
 }
 

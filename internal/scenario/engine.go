@@ -49,6 +49,9 @@ func RunContext(ctx context.Context, c *Context, s *Script) (Metrics, error) {
 	c.Status, c.PrevStatus = 0, 0
 	c.ScenarioName = s.Name
 	c.M = nil
+	if c.PhaseTimes == nil {
+		c.PhaseTimes = map[string]time.Duration{}
+	}
 	c.Accepts, c.Rejects = 0, 0
 	c.repeatIters = 0
 	c.seq = 0
@@ -120,7 +123,6 @@ func (c *Context) runBlock(b *Block) error {
 	case BlockRepeat:
 		c.PrevStatus = c.Status
 		prev := c.Eng.WorstSlack()
-		c.Logf("%s: starting slack %.0f", b.Label, prev)
 		for it := 1; it <= b.Max; it++ {
 			for _, st := range b.Steps {
 				if err := c.execStep(b, st); err != nil {
@@ -134,7 +136,6 @@ func (c *Context) runBlock(b *Block) error {
 				Slack:        fptr(ws),
 				SteinerDirty: c.St.DirtyNets(), CongestionDirty: c.Cong.DirtyNets(),
 			})
-			c.Logf("%s iter %d: slack %.0f", b.Label, it, ws)
 			if ws <= prev+b.Stall {
 				break
 			}
@@ -186,6 +187,7 @@ func (c *Context) execStep(b *Block, st *Step) error {
 	if !st.Protect {
 		rep, err := tr.Run(c, args)
 		dur := time.Since(t0)
+		c.PhaseTimes[st.Name] += dur
 		if err != nil {
 			c.emit(Event{Type: EvStepEnd, Block: b.Label, Step: st.Name, Status: c.Status,
 				Err: err.Error(), DurMs: dur.Seconds() * 1000})
@@ -209,6 +211,7 @@ func (c *Context) execStep(b *Block, st *Step) error {
 	rep, err := tr.Run(c, args)
 	c.stepDeadline = time.Time{}
 	dur := time.Since(t0)
+	c.PhaseTimes[st.Name] += dur
 
 	// A run-level cancel outranks the step's own outcome: the step is
 	// rolled back like any rejection, then the whole run aborts.
@@ -262,8 +265,34 @@ func (c *Context) execStep(b *Block, st *Step) error {
 	}
 	c.Rejects++
 	c.emit(ev)
-	c.Logf("step %s at status %d rejected (%s)", st.Name, c.Status, reason)
 	return nil
+}
+
+// Objective resolves an objective name to its key: "" selects "slack";
+// "slack", "tns" and "wire" are themselves; anything else is an error.
+// Parse checks `set objective` by it, and races, autoflow searches and
+// their spec parsers judge by it.
+func Objective(name string) (string, error) {
+	switch name {
+	case "":
+		return "slack", nil
+	case "slack", "tns", "wire":
+		return name, nil
+	}
+	return "", fmt.Errorf("unknown objective %q (want slack, tns, or wire)", name)
+}
+
+// Objective returns m's value under objective key (a resolved
+// Objective name), larger-is-better like the protected-step objective.
+func (m *Metrics) Objective(key string) float64 {
+	switch key {
+	case "tns":
+		return m.TNS
+	case "wire":
+		return -m.SteinerWireUm
+	default:
+		return m.WorstSlack
+	}
 }
 
 // objective evaluates the scenario's accept/reject criterion for

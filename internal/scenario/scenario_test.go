@@ -104,6 +104,7 @@ func TestParseErrors(t *testing.T) {
 		{"bad-mode", "scenario x\ninit {\nnoop_ok when mode=psychic\n}\n", "unknown mode"},
 		{"stray-token", "scenario x\ninit {\nnoop_ok rogue\n}\n", "unexpected token"},
 		{"outside-block", "scenario x\nnoop_ok\n", "outside a block"},
+		{"bad-objective", "scenario x\nset objective tsn\ninit {\nnoop_ok\n}\n", `line 2: unknown objective "tsn"`},
 	}
 	for _, tc := range cases {
 		_, err := scenario.Parse(tc.script)

@@ -126,6 +126,11 @@ func Parse(text string) (*Script, error) {
 				if len(f) != 3 {
 					return nil, fmt.Errorf("scenario: line %d: set needs key and value", lineNo)
 				}
+				if f[1] == "objective" {
+					if _, err := Objective(f[2]); err != nil {
+						return nil, fmt.Errorf("scenario: line %d: %w", lineNo, err)
+					}
+				}
 				s.Params[f[1]] = f[2]
 				continue
 			case "init", "status", "final", "repeat":

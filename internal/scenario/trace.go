@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"sync"
 )
@@ -149,25 +150,51 @@ func (t *JSONLTracer) Err() error {
 	return t.err
 }
 
-// LockedWriter serializes Write calls onto a shared sink. Wrap a writer
-// in one when several concurrent flows must share it (stderr, a common
-// log file): each Context.Logf line and JSONLTracer record arrives as a
-// single Write, so the lock is sufficient for whole-line interleaving.
-// Per-job writer ownership remains the preferred arrangement; this is
-// the fallback for genuinely shared sinks.
-type LockedWriter struct {
+// TextTracer renders the events a person follows as one progress line
+// each: step_end and reject at their status, repeat-block iterations and
+// autoflow generation summaries, prefixed with the entrant when there is
+// one. Every other event is dropped. Each line reaches w as a single
+// Write under a mutex, so the concurrent entrants of a race can share
+// one sink. Safe for concurrent use; write errors are ignored.
+type TextTracer struct {
 	mu sync.Mutex
 	w  io.Writer
 }
 
-// NewLockedWriter wraps w so concurrent writers interleave whole calls.
-func NewLockedWriter(w io.Writer) *LockedWriter { return &LockedWriter{w: w} }
+// NewTextTracer returns a tracer writing human progress lines to w.
+func NewTextTracer(w io.Writer) *TextTracer { return &TextTracer{w: w} }
 
-// Write forwards to the underlying writer under the lock.
-func (l *LockedWriter) Write(p []byte) (int, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.w.Write(p)
+// Emit writes e's progress line, if it has one.
+func (t *TextTracer) Emit(e Event) {
+	var b []byte
+	if e.Entrant != "" {
+		b = append(b, e.Entrant+": "...)
+	}
+	switch {
+	case e.Type == EvStepEnd:
+		b = fmt.Appendf(b, "status %3d: %s changed=%d", e.Status, e.Step, e.Changed)
+		if e.Detail != "" {
+			b = append(b, " ("+e.Detail+")"...)
+		}
+		if e.Err != "" {
+			b = append(b, " error: "+e.Err...)
+		}
+		b = fmt.Appendf(b, " %.0fms", e.DurMs)
+	case e.Type == EvReject:
+		b = fmt.Appendf(b, "status %3d: %s rejected (%s) %.0fms", e.Status, e.Step, e.Reason, e.DurMs)
+	case e.Type == EvStatus && e.Iter > 0 && e.Slack != nil:
+		b = fmt.Appendf(b, "%s iter %d: slack %.0f", e.Block, e.Iter, *e.Slack)
+	case e.Type == EvGenSummary:
+		b = fmt.Appendf(b, "%s gen %d: evaluated %d, best %s", e.Scenario, e.Gen, e.Changed, e.Winner)
+		if e.Objective != nil {
+			b = fmt.Appendf(b, " obj=%g", *e.Objective)
+		}
+	default:
+		return
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.w.Write(append(b, '\n'))
 }
 
 // emit sends an event to the context's tracer, stamping the sequence

@@ -66,15 +66,12 @@ type Config struct {
 	// least one worker, so the budget can oversubscribe under full
 	// load rather than stall.
 	Workers int
-	// Lib is the cell library netlists are parsed against (default
-	// cell.Default()).
-	Lib *cell.Library
 }
 
 // Server is the placement service. It implements http.Handler.
 type Server struct {
 	cfg Config
-	lib *cell.Library
+	lib *cell.Library // every netlist is parsed against it
 	mux *http.ServeMux
 
 	// baseCtx parents every job's run context; cancelAll aborts all
@@ -106,12 +103,9 @@ func New(cfg Config) *Server {
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
-	if cfg.Lib == nil {
-		cfg.Lib = cell.Default()
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
-		cfg: cfg, lib: cfg.Lib,
+		cfg: cfg, lib: cell.Default(),
 		baseCtx: ctx, cancelAll: cancel,
 		jobs:  map[string]*Job{},
 		queue: make(chan *Job, cfg.QueueDepth),

@@ -28,12 +28,9 @@ func init() {
 			return c.Calc.Mode != delay.Actual
 		},
 		Run: func(c *scenario.Context, a scenario.Args) (scenario.Report, error) {
-			stop := c.Track("synthesis")
-			defer stop()
 			if c.Status >= a.Int("cut", 30) || !a.Bool("virtual", true) {
 				n := DiscretizeActual(c.NL, c.Calc)
 				c.Eng.SetMode(delay.Actual)
-				c.Logf("status %3d: actual discretization of %d gates, timing → actual", c.Status, n)
 				return scenario.Report{Changed: n, Detail: "actual"}, nil
 			}
 			n := DiscretizeVirtual(c.NL, c.Calc)
@@ -58,10 +55,7 @@ func init() {
 			{Key: "margin", Kind: scenario.ParamFloat, Lo: 20, Hi: 120},
 		},
 		Run: func(c *scenario.Context, a scenario.Args) (scenario.Report, error) {
-			stop := c.Track("synthesis")
 			n := SizeForArea(c.NL, c.Eng, a.Margin(c, 50), c.Interrupted)
-			stop()
-			c.Logf("status %3d: area recovery resized %d", c.Status, n)
 			return scenario.Report{Changed: n}, c.Interrupted()
 		},
 	})
@@ -73,10 +67,7 @@ func init() {
 			{Key: "budget", Kind: scenario.ParamInt, Lo: 8, Hi: 256},
 		},
 		Run: func(c *scenario.Context, a scenario.Args) (scenario.Report, error) {
-			stop := c.Track("synthesis")
 			n := SizeForSpeed(c.NL, c.Eng, c.Im, a.Margin(c, 60), a.Int("budget", 0), c.Interrupted)
-			stop()
-			c.Logf("status %3d: speed sizing accepted %d", c.Status, n)
 			return scenario.Report{Changed: n}, c.Interrupted()
 		},
 	})
@@ -88,7 +79,6 @@ func init() {
 		},
 		Run: func(c *scenario.Context, a scenario.Args) (scenario.Report, error) {
 			n := InFootprintResize(c.NL, c.Eng, a.Margin(c, 60), c.Interrupted)
-			c.Logf("in-footprint resizes: %d", n)
 			return scenario.Report{Changed: n}, c.Interrupted()
 		},
 	})

@@ -29,10 +29,7 @@ func init() {
 			{Key: "budget", Kind: scenario.ParamInt, Lo: 8, Hi: 256},
 		},
 		Run: func(c *scenario.Context, a scenario.Args) (scenario.Report, error) {
-			stop := c.Track("synthesis")
 			n := forScenario(c).CloneCritical(a.Int("budget", 0))
-			stop()
-			c.Logf("status %3d: clones %d", c.Status, n)
 			return scenario.Report{Changed: n}, c.Interrupted()
 		},
 	})
@@ -43,10 +40,7 @@ func init() {
 			{Key: "budget", Kind: scenario.ParamInt, Lo: 8, Hi: 256},
 		},
 		Run: func(c *scenario.Context, a scenario.Args) (scenario.Report, error) {
-			stop := c.Track("synthesis")
 			n := forScenario(c).BufferCritical(a.Int("budget", 0))
-			stop()
-			c.Logf("status %3d: buffers %d", c.Status, n)
 			return scenario.Report{Changed: n}, c.Interrupted()
 		},
 	})
@@ -57,10 +51,7 @@ func init() {
 			{Key: "budget", Kind: scenario.ParamInt, Lo: 8, Hi: 256},
 		},
 		Run: func(c *scenario.Context, a scenario.Args) (scenario.Report, error) {
-			stop := c.Track("synthesis")
 			n := forScenario(c).PinSwap(a.Int("budget", 0))
-			stop()
-			c.Logf("status %3d: pin swaps %d", c.Status, n)
 			return scenario.Report{Changed: n}, c.Interrupted()
 		},
 	})
@@ -71,10 +62,7 @@ func init() {
 			{Key: "budget", Kind: scenario.ParamInt, Lo: 8, Hi: 256},
 		},
 		Run: func(c *scenario.Context, a scenario.Args) (scenario.Report, error) {
-			stop := c.Track("synthesis")
 			n := forScenario(c).Remap(a.Int("budget", 0))
-			stop()
-			c.Logf("status %3d: remaps %d", c.Status, n)
 			return scenario.Report{Changed: n}, c.Interrupted()
 		},
 	})
@@ -82,10 +70,7 @@ func init() {
 		Name: "electrical", Doc: "fix electrical violations (overloaded drivers)",
 		Window: "50..",
 		Run: func(c *scenario.Context, a scenario.Args) (scenario.Report, error) {
-			stop := c.Track("synthesis")
 			n := forScenario(c).ElectricalCorrection(c.Calc)
-			stop()
-			c.Logf("status %3d: electrical correction fixed %d", c.Status, n)
 			return scenario.Report{Changed: n}, c.Interrupted()
 		},
 	})

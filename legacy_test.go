@@ -1,8 +1,9 @@
 package tps
 
 // This file is the pre-scenario-engine flow code, kept verbatim (modulo
-// the exported Logf/Track renames and the unused parameters since dropped
-// from DetailedPlace) as the reference implementation for
+// the progress lines and phase timers now reported by the engine, and
+// the unused parameters since dropped from DetailedPlace; every analyzer
+// read those lines made is kept) as the reference implementation for
 // the golden equivalence tests: RunTPS/RunSPR through the scenario
 // engine must produce bit-identical Metrics and AnalyzerStats to these
 // hand-scheduled loops at every worker count.
@@ -67,15 +68,11 @@ func runTPSLegacy(c *scenario.Context, opt TPSOptions) Metrics {
 			status = 100
 		}
 		if placer.Status() < status {
-			stop := c.Track("partition")
 			placer.Partition(status)
-			stop()
 			if !opt.DisableReflow {
-				stop = c.Track("reflow")
 				placer.Reflow()
-				stop()
 			}
-			place.PublishFMStats(c, placer)
+			c.FM = placer.FMStats()
 		}
 		bd := c.Im.BinW()
 		if c.Im.BinH() > bd {
@@ -90,56 +87,42 @@ func runTPSLegacy(c *scenario.Context, opt TPSOptions) Metrics {
 		}
 		weighter.Apply()
 
-		stopSynth := c.Track("synthesis")
 		if !discretized {
 			if status >= opt.DiscretizeAt || !opt.VirtualDiscretization {
-				n := sizing.DiscretizeActual(c.NL, c.Calc)
+				sizing.DiscretizeActual(c.NL, c.Calc)
 				c.Eng.SetMode(delay.Actual)
 				discretized = true
-				c.Logf("status %3d: actual discretization of %d gates, timing → actual", status, n)
 			} else {
 				sizing.DiscretizeVirtual(c.NL, c.Calc)
 			}
 		}
 
 		if crossed(prev, status, 20, 30) {
-			n := sizing.SizeForArea(c.NL, c.Eng, 50, nil)
-			c.Logf("status %3d: area recovery resized %d", status, n)
+			sizing.SizeForArea(c.NL, c.Eng, 50, nil)
 		}
 		if status > 30 && discretized {
-			n := sizing.SizeForSpeed(c.NL, c.Eng, c.Im, 60, budget, nil)
-			c.Logf("status %3d: speed sizing accepted %d", status, n)
+			sizing.SizeForSpeed(c.NL, c.Eng, c.Im, 60, budget, nil)
 		}
 		if crossed(prev, status, 30, 50) && discretized {
-			nm := mig.Run()
-			ncl := so.CloneCritical(budget)
-			nbf := so.BufferCritical(budget)
-			c.Logf("status %3d: migration %d, clones %d, buffers %d", status, nm, ncl, nbf)
+			mig.Run()
+			so.CloneCritical(budget)
+			so.BufferCritical(budget)
 		}
 		if status > 50 {
-			np := so.PinSwap(budget)
-			nr := so.Remap(budget)
-			c.Logf("status %3d: pin swaps %d, remaps %d", status, np, nr)
+			so.PinSwap(budget)
+			so.Remap(budget)
 			if !electricalDone && discretized {
-				ne := so.ElectricalCorrection(c.Calc)
+				so.ElectricalCorrection(c.Calc)
 				electricalDone = true
-				c.Logf("status %3d: electrical correction fixed %d", status, ne)
 			}
 		}
 		if status > 80 {
-			n := sizing.SizeForArea(c.NL, c.Eng, 80, nil)
-			c.Logf("status %3d: late area recovery resized %d", status, n)
+			sizing.SizeForArea(c.NL, c.Eng, 80, nil)
 		}
 		rel.RelieveAll(0.25)
-		stopSynth()
 		placer.SyncImage()
 
-		dirtyNets := c.Cong.DirtyNets()
-		stopCong := c.Track("congestion")
-		crep := c.Cong.Analyze()
-		stopCong()
-		c.Logf("status %3d: congestion Horiz %.0f/%.0f Vert %.0f/%.0f (%d dirty nets)",
-			status, crep.HorizPeak, crep.HorizAvg, crep.VertPeak, crep.VertAvg, dirtyNets)
+		c.Cong.Analyze()
 	}
 
 	placer.SpreadWithinBins()
@@ -151,12 +134,8 @@ func runTPSLegacy(c *scenario.Context, opt TPSOptions) Metrics {
 	}
 	dopt := place.DefaultDetailedOptions()
 	dopt.Workers = c.Workers
-	stop := c.Track("legalize")
 	place.Legalize(c.NL, c.ChipW, c.ChipH)
-	stop()
-	stop = c.Track("detailed")
 	place.DetailedPlace(c.NL, dopt)
-	stop()
 	syncImageLegacy(c)
 
 	if opt.DisableClockScanSchedule {
@@ -167,32 +146,22 @@ func runTPSLegacy(c *scenario.Context, opt TPSOptions) Metrics {
 	}
 
 	{
-		stop = c.Track("synthesis")
-		ns := sizing.SizeForSpeed(c.NL, c.Eng, c.Im, 0.08*c.Period, 2*budget, nil)
-		nb := so.BufferCritical(budget)
-		ncl := so.CloneCritical(budget)
-		np := so.PinSwap(budget)
-		stop()
-		c.Logf("final pass: sizes %d, buffers %d, clones %d, pin swaps %d", ns, nb, ncl, np)
-		stop = c.Track("legalize")
+		sizing.SizeForSpeed(c.NL, c.Eng, c.Im, 0.08*c.Period, 2*budget, nil)
+		so.BufferCritical(budget)
+		so.CloneCritical(budget)
+		so.PinSwap(budget)
 		place.Legalize(c.NL, c.ChipW, c.ChipH)
-		stop()
-		stop = c.Track("detailed")
 		place.DetailedPlace(c.NL, dopt)
-		stop()
 		sizing.InFootprintResize(c.NL, c.Eng, 0.08*c.Period, nil)
 		so.PinSwap(budget)
 	}
 
 	m := c.Evaluate("TPS")
 	if !opt.SkipRouting {
-		stop = c.Track("route")
 		res := route.RouteAllN(c.NL, c.St, c.Im, c.Workers)
-		stop()
 		m.RoutedWireUm = res.TotalLen
 		m.RouteOverflows = res.Overflows
-		n := sizing.InFootprintResize(c.NL, c.Eng, 60, nil)
-		c.Logf("post-route in-footprint resizes: %d", n)
+		sizing.InFootprintResize(c.NL, c.Eng, 60, nil)
 		m.WorstSlack = c.Eng.WorstSlack()
 		m.TNS = c.Eng.TNS()
 		m.CycleAchieved = c.Period - m.WorstSlack
@@ -221,7 +190,7 @@ func runSPRLegacy(c *scenario.Context, opt SPROptions) Metrics {
 	sizing.SizeForSpeed(c.NL, c.Eng, c.Im, 60, budget, nil)
 	so.BufferCritical(budget)
 	so.CloneCritical(budget)
-	c.Logf("SPR synthesis done (WLM): slack %.0f", c.Eng.WorstSlack())
+	c.Eng.WorstSlack() // the read SPR's logslack step makes
 
 	// --- Stage 2: stand-alone placement. ---
 	weighter.Margin = 100
@@ -236,9 +205,7 @@ func runSPRLegacy(c *scenario.Context, opt SPROptions) Metrics {
 	qopt := quadratic.DefaultOptions()
 	qopt.Seed = c.Seed
 	qopt.Workers = c.Workers
-	stop := c.Track("quadratic")
 	quadratic.Place(c.NL, c.ChipW, c.ChipH, qopt)
-	stop()
 	for c.Im.Level < c.Im.MaxLevel {
 		c.Im.Subdivide()
 	}
@@ -257,16 +224,14 @@ func runSPRLegacy(c *scenario.Context, opt SPROptions) Metrics {
 	c.Eng.SetMode(delay.Actual)
 	iters := 1
 	prev := c.Eng.WorstSlack()
-	c.Logf("SPR post-place slack: %.0f", prev)
 	for it := 0; it < opt.MaxIterations; it++ {
-		ns := sizing.SizeForSpeed(c.NL, c.Eng, c.Im, 60, budget, nil)
-		nb := so.BufferCritical(budget)
-		ncl := so.CloneCritical(budget)
+		sizing.SizeForSpeed(c.NL, c.Eng, c.Im, 60, budget, nil)
+		so.BufferCritical(budget)
+		so.CloneCritical(budget)
 		place.Legalize(c.NL, c.ChipW, c.ChipH)
 		syncImageLegacy(c)
 		iters++
 		ws := c.Eng.WorstSlack()
-		c.Logf("SPR resynth iter %d: sizes %d buffers %d clones %d slack %.0f", it+1, ns, nb, ncl, ws)
 		if ws <= prev+1 {
 			prev = ws
 			break
@@ -275,9 +240,7 @@ func runSPRLegacy(c *scenario.Context, opt SPROptions) Metrics {
 	}
 	dopt := place.DefaultDetailedOptions()
 	dopt.Workers = c.Workers
-	stop = c.Track("detailed")
 	place.DetailedPlace(c.NL, dopt)
-	stop()
 
 	m := c.Evaluate("SPR")
 	if !opt.SkipRouting {

@@ -101,6 +101,11 @@ const EvFlowEnd = scenario.EvFlowEnd
 // NewJSONLTracer returns a Tracer writing one JSON object per line to w.
 func NewJSONLTracer(w io.Writer) Tracer { return scenario.NewJSONLTracer(w) }
 
+// NewTextTracer returns a Tracer writing one human progress line per
+// step, rejection, repeat iteration and autotune generation to w.
+// Concurrent entrants may share it.
+func NewTextTracer(w io.Writer) Tracer { return scenario.NewTextTracer(w) }
+
 // ParseScenario parses a scenario script. Step names resolve against the
 // transform registry, so a script that parses also runs.
 func ParseScenario(text string) (*Scenario, error) { return scenario.Parse(text) }
@@ -203,9 +208,6 @@ func Load(r io.Reader) (*Design, error) {
 // Save writes the design's current netlist and placement as .tpn.
 func (d *Design) Save(w io.Writer) error { return netio.Write(w, d.gd) }
 
-// SetLog directs flow progress lines to w (nil silences them).
-func (d *Design) SetLog(w io.Writer) { d.ctx.Log = w }
-
 // SetWorkers sets the analyzer fan-out width (default GOMAXPROCS). The
 // evaluation layer is deterministic: metrics are bit-identical for every
 // worker count, and 1 restores fully serial analysis.
@@ -279,8 +281,8 @@ func (d *Design) WireLength() float64 { return d.ctx.St.Total() }
 // plus the placement partitioner's FM gain-structure counters.
 func (d *Design) Stats() AnalyzerStats { return d.ctx.AnalyzerStats() }
 
-// PhaseTimes returns the per-transform wall clock accumulated by the last
-// flow run (map key → duration; see scenario.Context.PhaseTimes).
+// PhaseTimes returns the wall clock the design's flow runs spent in each
+// step, keyed by transform name (see scenario.Context.PhaseTimes).
 func (d *Design) PhaseTimes() map[string]time.Duration { return d.ctx.PhaseTimes }
 
 // ClockWireLength returns the total clock-net wire length in µm.
